@@ -107,45 +107,9 @@ fn main() {
     eprintln!("  Variational: {:.1}s", t0.elapsed().as_secs_f64());
 
     // --- Post-variational rows.
-    let obs = Strategy::default_observable(4);
-    pv_row(
-        "Ansatz 1-order",
-        Strategy::ansatz_expansion(fig8_ansatz(4), 1, obs),
-        &task,
-        &mut table,
-    );
-    pv_row(
-        "Ansatz 2-order",
-        Strategy::ansatz_expansion(fig8_ansatz(4), 2, obs),
-        &task,
-        &mut table,
-    );
-    for l in 1..=3 {
-        pv_row(
-            &format!("Observable {l}-local"),
-            Strategy::observable_construction(4, l),
-            &task,
-            &mut table,
-        );
+    for (name, strategy) in bench::heads::table3_strategies() {
+        pv_row(name, strategy, &task, &mut table);
     }
-    pv_row(
-        "Hybrid 1-order + 1-local",
-        Strategy::hybrid(fig8_ansatz(4), 1, 1),
-        &task,
-        &mut table,
-    );
-    pv_row(
-        "Hybrid 2-order + 1-local",
-        Strategy::hybrid(fig8_ansatz(4), 2, 1),
-        &task,
-        &mut table,
-    );
-    pv_row(
-        "Hybrid 1-order + 2-local",
-        Strategy::hybrid(fig8_ansatz(4), 1, 2),
-        &task,
-        &mut table,
-    );
 
     println!();
     table.print();

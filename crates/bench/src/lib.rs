@@ -4,6 +4,7 @@
 //! figure of the paper (see DESIGN.md's experiment index), plus pretty
 //! table printing. Criterion microbenchmarks live in `benches/`.
 
+pub mod heads;
 pub mod report;
 pub mod setup;
 pub mod table;

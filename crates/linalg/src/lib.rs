@@ -23,7 +23,7 @@ pub mod qr;
 pub mod svd;
 
 pub use cholesky::{cholesky_decompose, cholesky_solve};
-pub use mat::Mat;
+pub use mat::{dot, Mat};
 pub use pinv::{lstsq, pinv, ridge_solve};
 pub use qr::qr_decompose;
 pub use svd::{singular_values, Svd};

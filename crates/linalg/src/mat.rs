@@ -301,10 +301,24 @@ pub fn vec_norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-/// Dot product.
-pub fn vec_dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
+/// Dot product over 8 independent accumulators, so the adds pipeline
+/// instead of forming one latency-bound chain. Element `i` always lands
+/// in accumulator `i % 8` and the accumulators combine in a fixed tree,
+/// so the result depends only on the inputs.
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "dot length mismatch");
+    let mut acc = [0.0; 8];
+    let (a8, b8) = (a.chunks_exact(8), b.chunks_exact(8));
+    let (ra, rb) = (a8.remainder(), b8.remainder());
+    for (x, y) in a8.zip(b8) {
+        for ((s, x), y) in acc.iter_mut().zip(x).zip(y) {
+            *s += x * y;
+        }
+    }
+    for ((s, x), y) in acc.iter_mut().zip(ra).zip(rb) {
+        *s += x * y;
+    }
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
 #[cfg(test)]
@@ -428,6 +442,12 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert!((vec_norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert!((vec_dot(&[1.0, 2.0], &[3.0, -1.0]) - 1.0).abs() < 1e-15);
+        assert!((dot(&[1.0, 2.0], &[3.0, -1.0]) - 1.0).abs() < 1e-15);
+        // Lengths around the 8-lane width agree with the sequential sum.
+        for n in [0, 1, 7, 8, 9, 16, 23] {
+            let a: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
+            let b: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+            assert!((dot(&a, &b) - n as f64).abs() < 1e-12, "n = {n}");
+        }
     }
 }

@@ -1,4 +1,8 @@
-//! First-order optimizers and the ℓ2-ball projection of Theorem 4.
+//! First-order optimizers, a limited-memory quasi-Newton solver, and the
+//! ℓ2-ball projection of Theorem 4.
+
+use linalg::dot;
+use std::collections::VecDeque;
 
 /// Projects `x` onto the ℓ2 ball of the given `radius` (in place). This is
 /// the projection step of the constrained convex program `‖α‖₂ ≤ 1` the
@@ -70,6 +74,138 @@ impl Adam {
     }
 }
 
+/// Deterministic L-BFGS (memory [`Lbfgs::MEMORY`], two-loop recursion,
+/// initial Hessian γI with γ = sᵀy / yᵀy) with Armijo backtracking
+/// (c₁ = 1e-4, halving). It stops once ‖g‖∞ ≤ [`Lbfgs::GRAD_TOL`], once
+/// `max_evals` objective evaluations are spent, or when a line search
+/// cannot decrease the objective any more. The objective is a callback, so
+/// any smooth loss (the logistic head's, the softmax head's) can use it.
+#[derive(Clone, Copy, Debug)]
+pub struct Lbfgs {
+    /// Cap on objective evaluations, the initial one included.
+    pub max_evals: usize,
+}
+
+/// Where [`Lbfgs::minimize`] stopped.
+#[derive(Clone, Debug)]
+pub struct LbfgsResult {
+    /// The final iterate.
+    pub x: Vec<f64>,
+    /// The objective there.
+    pub value: f64,
+    /// ‖∇f‖∞ there.
+    pub grad_norm_inf: f64,
+    /// Accepted steps.
+    pub iterations: usize,
+    /// Objective evaluations, line-search trials included.
+    pub evaluations: usize,
+}
+
+impl Lbfgs {
+    /// Correction pairs kept.
+    pub const MEMORY: usize = 10;
+    /// Stopping tolerance on ‖∇f‖∞.
+    pub const GRAD_TOL: f64 = 1e-6;
+    /// Armijo sufficient-decrease constant.
+    const C1: f64 = 1e-4;
+    /// A pair with sᵀy at or below this is skipped, keeping H positive
+    /// definite.
+    const MIN_CURVATURE: f64 = 1e-12;
+    /// Halvings before a line search gives up.
+    const MAX_HALVINGS: usize = 50;
+
+    /// Minimises `f` from `x0`. `f(x, g)` returns f(x) and writes ∇f(x)
+    /// into `g`.
+    pub fn minimize<F>(&self, x0: Vec<f64>, mut f: F) -> LbfgsResult
+    where
+        F: FnMut(&[f64], &mut [f64]) -> f64,
+    {
+        let n = x0.len();
+        let mut x = x0;
+        let mut g = vec![0.0; n];
+        let mut value = f(&x, &mut g);
+        let mut evaluations = 1;
+        let mut iterations = 0;
+        // (s, y, 1 / sᵀy), oldest first.
+        let mut pairs: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::new();
+        let mut alpha = [0.0; Self::MEMORY];
+        let mut x_new = vec![0.0; n];
+        let mut g_new = vec![0.0; n];
+        'outer: while norm_inf(&g) > Self::GRAD_TOL && evaluations < self.max_evals {
+            // Two-loop recursion: d = −H·g.
+            let mut d = g.clone();
+            for (k, (s, y, rho)) in pairs.iter().enumerate().rev() {
+                alpha[k] = rho * dot(s, &d);
+                axpy(-alpha[k], y, &mut d);
+            }
+            let gamma = pairs.back().map_or(1.0, |(s, y, _)| dot(s, y) / dot(y, y));
+            d.iter_mut().for_each(|v| *v *= -gamma);
+            for (k, (s, y, rho)) in pairs.iter().enumerate() {
+                let beta = rho * dot(y, &d);
+                axpy(-alpha[k] - beta, s, &mut d);
+            }
+            let mut slope = dot(&g, &d);
+            if slope >= 0.0 {
+                // Not a descent direction: drop the curvature memory.
+                pairs.clear();
+                d = g.iter().map(|v| -v).collect();
+                slope = -dot(&g, &g);
+            }
+
+            let mut t = 1.0;
+            let mut halvings = 0;
+            let new_value = loop {
+                for ((xn, xi), di) in x_new.iter_mut().zip(&x).zip(&d) {
+                    *xn = xi + t * di;
+                }
+                let v = f(&x_new, &mut g_new);
+                evaluations += 1;
+                if v <= value + Self::C1 * t * slope {
+                    break v;
+                }
+                if evaluations >= self.max_evals || halvings == Self::MAX_HALVINGS {
+                    break 'outer;
+                }
+                t *= 0.5;
+                halvings += 1;
+            };
+
+            let s: Vec<f64> = x_new.iter().zip(&x).map(|(a, b)| a - b).collect();
+            let y: Vec<f64> = g_new.iter().zip(&g).map(|(a, b)| a - b).collect();
+            let sy = dot(&s, &y);
+            if sy > Self::MIN_CURVATURE {
+                if pairs.len() == Self::MEMORY {
+                    pairs.pop_front();
+                }
+                pairs.push_back((s, y, 1.0 / sy));
+            }
+            std::mem::swap(&mut x, &mut x_new);
+            std::mem::swap(&mut g, &mut g_new);
+            value = new_value;
+            iterations += 1;
+        }
+        LbfgsResult {
+            grad_norm_inf: norm_inf(&g),
+            x,
+            value,
+            iterations,
+            evaluations,
+        }
+    }
+}
+
+/// `y ← y + a·x`.
+fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += a * xi;
+    }
+}
+
+/// `max |vᵢ|`.
+pub(crate) fn norm_inf(v: &[f64]) -> f64 {
+    v.iter().fold(0.0, |m: f64, g| m.max(g.abs()))
+}
+
 /// Projected (sub)gradient descent for convex objectives over an ℓ2 ball:
 /// minimises `f` with oracle `grad` starting from `x0`, stepping
 /// `lr/√(t+1)` and projecting after every step. Returns the best iterate
@@ -138,6 +274,30 @@ mod tests {
         }
         assert!((x[0] - 3.0).abs() < 1e-3, "x0={}", x[0]);
         assert!((x[1] + 1.0).abs() < 1e-3, "x1={}", x[1]);
+    }
+
+    #[test]
+    fn lbfgs_minimises_rosenbrock() {
+        let rosenbrock = |x: &[f64], g: &mut [f64]| {
+            let (a, b) = (1.0 - x[0], x[1] - x[0] * x[0]);
+            g[0] = -2.0 * a - 400.0 * x[0] * b;
+            g[1] = 200.0 * b;
+            a * a + 100.0 * b * b
+        };
+        let run = Lbfgs { max_evals: 1000 }.minimize(vec![-1.2, 1.0], rosenbrock);
+        assert!(run.grad_norm_inf <= Lbfgs::GRAD_TOL, "{run:?}");
+        assert!((run.x[0] - 1.0).abs() < 1e-5 && (run.x[1] - 1.0).abs() < 1e-5);
+        assert!(run.evaluations <= 1000);
+    }
+
+    #[test]
+    fn lbfgs_stops_at_the_evaluation_cap() {
+        let quadratic = |x: &[f64], g: &mut [f64]| {
+            g[0] = 2.0 * (x[0] - 3.0);
+            (x[0] - 3.0).powi(2)
+        };
+        let run = Lbfgs { max_evals: 1 }.minimize(vec![0.0], quadratic);
+        assert_eq!((run.evaluations, run.iterations, run.x[0]), (1, 0, 0.0));
     }
 
     #[test]

@@ -806,11 +806,17 @@ impl Server {
         // with a typed error; everything else proceeds to the head sweep.
         let misses = miss_xs.len();
         drop(miss_xs);
-        let mut survivors: Vec<(Pending, Vec<f64>, bool)> = Vec::with_capacity(live.len());
+        // The head matrix is built in place: one copy per surviving row.
+        let cols = model.generator().strategy().num_neurons();
+        let mut survivors: Vec<(Pending, bool)> = Vec::with_capacity(live.len());
+        let mut head_rows: Vec<f64> = Vec::with_capacity(live.len() * cols);
         let mut shed_backend: Vec<TenantId> = Vec::new();
         for ((p, row), h) in live.into_iter().zip(rows).zip(hit) {
             match row {
-                Some(r) => survivors.push((p, r, h)),
+                Some(r) => {
+                    head_rows.extend_from_slice(&r);
+                    survivors.push((p, h));
+                }
                 None => {
                     shed_backend.push(p.tenant);
                     let _ = p.tx.send(Err(Rejected::BackendUnavailable {
@@ -831,8 +837,7 @@ impl Server {
         }
 
         // Head phase: one fused sweep over the whole micro-batch.
-        let dense: Vec<Vec<f64>> = survivors.iter().map(|(_, r, _)| r.clone()).collect();
-        let mat = Mat::from_rows(&dense);
+        let mat = Mat::from_vec(survivors.len(), cols, head_rows);
         let predictions = model.predict_batch(&mat);
 
         // Account simulated time once per batch, then respond. A
@@ -849,7 +854,7 @@ impl Server {
         stats.batch_rows += served as u64;
         stats.completed += served as u64;
         stats.unique_simulations += misses as u64;
-        for ((p, _, cache_hit), prediction) in survivors.into_iter().zip(predictions) {
+        for ((p, cache_hit), prediction) in survivors.into_iter().zip(predictions) {
             let latency_ns = done.saturating_sub(p.arrival_ns);
             stats.hist.record(latency_ns);
             let t = stats.tenant(p.tenant);

@@ -33,7 +33,7 @@ fn main() {
     println!("== serving a post-variational classifier ==\n");
     let server = Server::new(ServerConfig::default());
     let v1 = server.deploy(train(40));
-    println!("deployed model {v1} (40 training epochs)");
+    println!("deployed model {v1} (at most 40 full-batch evaluations)");
 
     // Phase 1: Zipf-skewed closed-loop traffic against v1.
     let points = catalogue(32);
@@ -63,7 +63,7 @@ fn main() {
     // Phase 2: hot-swap a retrained model; in-flight work drains on v1,
     // new traffic serves v2, and the shared-generator cache carries over.
     let v2 = server.deploy(train(400));
-    println!("hot-swapped to model {v2} (400 epochs) — no queue pause, cache retained");
+    println!("hot-swapped to model {v2} (at most 400) — no queue pause, cache retained");
     let probe = points[0].clone();
     let handle = server.submit(probe.clone()).expect("admitted");
     server.drain();
