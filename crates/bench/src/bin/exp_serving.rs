@@ -3,10 +3,7 @@
 //! comparison against the unbatched single-request baseline, plus the
 //! multi-tenant overload phases: a flood-isolation measurement (one
 //! tenant at ~10× its fair share must not move a well-behaved tenant's
-//! tail), a scale-out phase (millions of simulated users through a
-//! consistent-hash shard fleet, swept over shard counts to find where
-//! coordination dominates), and trace-replay scenarios with windowed
-//! time-series output.
+//! tail) and trace-replay scenarios with windowed time-series output.
 //!
 //! Run:        `cargo run -p bench --bin exp_serving --release`
 //! Smoke (CI): `cargo run -p bench --bin exp_serving --release -- --smoke`
@@ -29,8 +26,8 @@ use pvqnn::model::RegressorMode;
 use pvqnn::{FeatureGenerator, PostVarRegressor, Strategy};
 use serve::{
     demo_catalogue, replay_trace, run_closed_loop, synthesize_trace, BrownoutLevel, FeatureEngine,
-    LoadGenConfig, LoadReport, MonitorSample, Prediction, RateProfile, Rejected, Router,
-    RouterConfig, Server, ServerConfig, ServerStats, TenantId, TenantLoad,
+    LoadGenConfig, LoadReport, MonitorSample, Prediction, RateProfile, Rejected, Server,
+    ServerConfig, ServerStats, TenantId, TenantLoad,
 };
 use std::path::Path;
 
@@ -38,13 +35,11 @@ use std::path::Path;
 const REGRESSION_TOLERANCE: f64 = 0.25;
 
 /// `(key, higher_is_better)` for the baseline gate.
-const GATED_METRICS: [(&str, bool); 6] = [
+const GATED_METRICS: [(&str, bool); 4] = [
     ("serving_rows_per_s", true),
     ("serving_p99_ms", false),
     ("serving_tenant_isolation", false),
     ("serving_overload_goodput_rows_per_s", true),
-    ("serving_sharded_rows_per_s", true),
-    ("serving_shard_imbalance", false),
 ];
 
 /// Distinct data points the request stream draws from.
@@ -260,212 +255,6 @@ fn flood_isolation(smoke: bool) -> IsolationOutcome {
         goodput: attack.goodput_rows_per_s,
         availability: attack_t.availability(),
         mismatches: solo.mismatches + attack.mismatches,
-    }
-}
-
-/// What the sharded phase measured.
-struct ShardedOutcome {
-    /// Warm throughput of the 4-shard fleet (rows/simulated s) — the
-    /// `serving_sharded_rows_per_s` gate metric.
-    sharded_rows_per_s: f64,
-    /// Warm throughput of one unsharded server on the same stream.
-    single_rows_per_s: f64,
-    /// Max-over-mean routed share across shards — the
-    /// `serving_shard_imbalance` gate metric (1.0 = perfectly even).
-    imbalance: f64,
-    /// Bitwise divergences between sharded responses and standalone
-    /// `predict` (must be zero: sharding is invisible in outputs).
-    mismatches: u64,
-    /// `(shards, rows_per_s)` from the shard-count sweep.
-    sweep: Vec<(usize, f64)>,
-    /// Shard count with peak swept throughput — past it, per-round
-    /// coordination cost grows faster than the added service capacity.
-    peak_shards: usize,
-}
-
-/// A catalogue wide enough that shard placement matters. Coordinates
-/// are distinct across points (inner LCG mod a prime), stay well inside
-/// `MAX_COORDINATE`, and are deterministic — so the ring placement, the
-/// routed counts, and every simulated-time metric reproduce bit-for-bit.
-fn sharded_catalogue(n: usize) -> Vec<Vec<f64>> {
-    assert!(
-        n <= 997,
-        "point distinctness argument holds below the prime"
-    );
-    (0..n)
-        .map(|i| {
-            (0..16)
-                .map(|j| 0.15 + 0.001 * ((i * 31 + j * 7) % 997) as f64)
-                .collect()
-        })
-        .collect()
-}
-
-/// Drives `users` single-request users through a fleet of `shards`
-/// servers behind the consistent-hash router, measuring warm
-/// steady-state throughput on the shared simulated clock. Returns
-/// `(rows_per_s, imbalance, mismatches)`.
-fn drive_sharded(
-    shards: usize,
-    users: usize,
-    points: &[Vec<f64>],
-    m: &PostVarRegressor,
-    expected: &[Prediction],
-) -> (f64, f64, u64) {
-    let router = Router::new(RouterConfig {
-        shards,
-        shard: ServerConfig {
-            default_deadline_ns: 0,
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    router.deploy(m.clone());
-    // Warm every shard's cache so the measured window sees steady state,
-    // not the one-time simulation cost of first contact with each point.
-    for chunk in points.chunks(32 * shards) {
-        let warmup: Vec<_> = chunk
-            .iter()
-            .map(|p| router.submit(p.clone()).expect("warmup admitted"))
-            .collect();
-        router.drain();
-        for h in warmup {
-            h.wait().expect("warmup served");
-        }
-    }
-    let t0 = router.clock().now_ns();
-    let c0 = router.stats().completed;
-    // Waves sized for two full batches per shard per drain: each user
-    // issues one request for their (hash-assigned) habitual data point.
-    let wave = 32 * shards;
-    let mut mismatches = 0u64;
-    let mut u = 0usize;
-    let mut inflight: Vec<(serve::ResponseHandle, usize)> = Vec::with_capacity(wave);
-    while u < users {
-        inflight.clear();
-        for _ in 0..wave.min(users - u) {
-            let pid = u.wrapping_mul(2654435761) % points.len();
-            let tenant = TenantId((u % 32) as u32);
-            let h = router
-                .submit_for(tenant, points[pid].clone())
-                .expect("steady stream admitted");
-            inflight.push((h, pid));
-            u += 1;
-        }
-        router.drain();
-        for (h, pid) in inflight.drain(..) {
-            let r = h.wait().expect("steady stream served");
-            if r.prediction != expected[pid] {
-                mismatches += 1;
-            }
-        }
-    }
-    let stats = router.stats();
-    let elapsed_s = (router.clock().now_ns() - t0) as f64 / 1e9;
-    let rows_per_s = (stats.completed - c0) as f64 / elapsed_s.max(1e-12);
-    (rows_per_s, stats.shard_imbalance(), mismatches)
-}
-
-/// The scale-out phase: the same warm point stream through one
-/// unsharded server and through consistent-hash fleets of growing size.
-/// Every simulated user is one request; full mode pushes millions of
-/// users through the measured 4-shard fleet. The sweep locates the
-/// crossover where per-round coordination (2 network hops, plus
-/// admission aggregation that polls every shard per dispatched row)
-/// outgrows the added parallel service capacity.
-fn sharded_phase(smoke: bool) -> ShardedOutcome {
-    let users: usize = if smoke { 40_000 } else { 2_000_000 };
-    let sweep_users: usize = if smoke { 12_000 } else { 200_000 };
-    let points = sharded_catalogue(if smoke { 256 } else { 512 });
-    let m = model();
-    let expected = expected_predictions(&m, &points);
-
-    println!("\n-- sharded serving: consistent-hash router over N shard servers --");
-    // The unsharded reference on the identical stream: same server
-    // config, same users, no router in front.
-    let (single_rows_per_s, _, single_mismatches) = {
-        let server = Server::new(ServerConfig {
-            default_deadline_ns: 0,
-            ..Default::default()
-        });
-        server.deploy(m.clone());
-        warm_cache(&server, &points);
-        let t0 = server.clock().now_ns();
-        let c0 = server.stats().completed;
-        let mut mismatches = 0u64;
-        let mut u = 0usize;
-        let mut inflight: Vec<(serve::ResponseHandle, usize)> = Vec::with_capacity(128);
-        while u < users {
-            inflight.clear();
-            for _ in 0..128.min(users - u) {
-                let pid = u.wrapping_mul(2654435761) % points.len();
-                let tenant = TenantId((u % 32) as u32);
-                let h = server
-                    .submit_for(tenant, points[pid].clone())
-                    .expect("single stream admitted");
-                inflight.push((h, pid));
-                u += 1;
-            }
-            server.drain();
-            for (h, pid) in inflight.drain(..) {
-                let r = h.wait().expect("single stream served");
-                if r.prediction != expected[pid] {
-                    mismatches += 1;
-                }
-            }
-        }
-        let elapsed_s = (server.clock().now_ns() - t0) as f64 / 1e9;
-        let completed = server.stats().completed - c0;
-        (completed as f64 / elapsed_s.max(1e-12), 1.0, mismatches)
-    };
-
-    // The gated configuration: 4 shards, full user population.
-    let (sharded_rows_per_s, imbalance, sharded_mismatches) =
-        drive_sharded(4, users, &points, &m, &expected);
-    println!("unsharded server:    {single_rows_per_s:>9.0} rows/s on {users} simulated users");
-    println!(
-        "4-shard fleet:       {sharded_rows_per_s:>9.0} rows/s | {:.2}x | shard imbalance {imbalance:.3}",
-        sharded_rows_per_s / single_rows_per_s.max(1e-12)
-    );
-
-    // Shard-count sweep: where does coordination start to dominate?
-    let mut sweep: Vec<(usize, f64)> = Vec::new();
-    for shards in [1usize, 2, 4, 8, 12, 16] {
-        let (rows_per_s, _, _) = drive_sharded(shards, sweep_users, &points, &m, &expected);
-        sweep.push((shards, rows_per_s));
-    }
-    let peak_shards = sweep
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(n, _)| n)
-        .unwrap_or(1);
-    let mut table = TablePrinter::new(&["shards", "rows/s", "vs single", "note"]);
-    for &(n, r) in &sweep {
-        let note = if n == peak_shards {
-            "peak — coordination dominates past here"
-        } else {
-            ""
-        };
-        table.row(&[
-            n.to_string(),
-            format!("{r:.0}"),
-            format!("{:.2}x", r / sweep[0].1.max(1e-12)),
-            note.to_string(),
-        ]);
-    }
-    table.print();
-    println!(
-        "per-round overhead grows ~N² with fleet admission polling; throughput peaks at {peak_shards} shards"
-    );
-
-    ShardedOutcome {
-        sharded_rows_per_s,
-        single_rows_per_s,
-        imbalance,
-        mismatches: single_mismatches + sharded_mismatches,
-        sweep,
-        peak_shards,
     }
 }
 
@@ -815,9 +604,6 @@ fn main() {
         isolation.isolation, isolation.goodput
     );
 
-    // The scale-out measurement (and its two gate metrics).
-    let sharded = sharded_phase(smoke);
-
     // Merge the serving metrics into BENCH_scaling.json (preserving
     // whatever exp_scaling already wrote there).
     let path = Path::new("BENCH_scaling.json");
@@ -836,12 +622,6 @@ fn main() {
     report.put("serving_cache_hit_rate", batched.cache_hit_rate);
     report.put("serving_tenant_isolation", isolation.isolation);
     report.put("serving_overload_goodput_rows_per_s", isolation.goodput);
-    report.put("serving_sharded_rows_per_s", sharded.sharded_rows_per_s);
-    report.put("serving_shard_imbalance", sharded.imbalance);
-    report.put("serving_sharded_speedup", {
-        sharded.sharded_rows_per_s / sharded.single_rows_per_s.max(1e-12)
-    });
-    report.put("serving_shard_crossover", sharded.peak_shards as f64);
     match report.write_to(path) {
         Ok(()) => println!("merged serving metrics into {}", path.display()),
         Err(e) => eprintln!("failed to write {}: {e}", path.display()),
@@ -902,34 +682,6 @@ fn main() {
             isolation.mismatches
         ));
     }
-    // The scale-out acceptance criteria, hard-asserted: the 4-shard
-    // fleet must beat one server on the same stream, placement must stay
-    // near-even, and sharding must be invisible in outputs.
-    if sharded.sharded_rows_per_s <= sharded.single_rows_per_s {
-        failures.push(format!(
-            "4-shard fleet {:.0} rows/s does not beat the unsharded server {:.0}",
-            sharded.sharded_rows_per_s, sharded.single_rows_per_s
-        ));
-    }
-    if sharded.imbalance > 1.5 {
-        failures.push(format!(
-            "shard imbalance {:.3} > 1.5 (max routed / mean routed)",
-            sharded.imbalance
-        ));
-    }
-    if sharded.mismatches > 0 {
-        failures.push(format!(
-            "{} sharded predictions diverged bitwise from standalone predict",
-            sharded.mismatches
-        ));
-    }
-    if sharded.peak_shards <= 1 || sharded.peak_shards >= sharded.sweep.last().map_or(0, |s| s.0) {
-        failures.push(format!(
-            "shard sweep found no interior coordination crossover (peak at {} shards)",
-            sharded.peak_shards
-        ));
-    }
-
     if let Some(pos) = args.iter().position(|a| a == "--baseline") {
         let baseline_path = args
             .get(pos + 1)

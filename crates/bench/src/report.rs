@@ -54,10 +54,6 @@
 //! | `serving_cache_hit_rate` | feature-cache hit rate on the Zipf stream |
 //! | `serving_tenant_isolation` | victim p99 under flood ÷ solo p99 (gated ↓, hard ceiling 2.0) |
 //! | `serving_overload_goodput_rows_per_s` | total goodput during the flood (gated ↑) |
-//! | `serving_sharded_rows_per_s` | warm 4-shard consistent-hash fleet throughput (gated ↑, hard floor: > unsharded) |
-//! | `serving_shard_imbalance` | max routed ÷ mean routed across shards (gated ↓, hard ceiling 1.5) |
-//! | `serving_sharded_speedup` | 4-shard fleet ÷ unsharded server on the same stream |
-//! | `serving_shard_crossover` | shard count with peak swept throughput — coordination dominates past it |
 
 use std::io::Write;
 use std::path::Path;

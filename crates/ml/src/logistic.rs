@@ -7,10 +7,9 @@ use crate::loss::{bce_loss, sigmoid};
 use crate::optim::{norm_inf, project_l2_ball, Lbfgs, LbfgsResult};
 use linalg::{dot, Mat};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Training configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LogisticConfig {
     /// L2 penalty coefficient λ on the weights (not the intercept);
     /// `1e-2` roughly matches scikit-learn's default `C = 1` at the
@@ -36,7 +35,7 @@ impl Default for LogisticConfig {
 }
 
 /// A trained binary logistic-regression model `p(y=1|x) = σ(w·x + b)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,

@@ -5,10 +5,9 @@
 use crate::loss::{softmax, softmax_ce_loss};
 use crate::optim::{project_l2_ball, Adam};
 use linalg::Mat;
-use serde::{Deserialize, Serialize};
 
 /// Training configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SoftmaxConfig {
     /// L2 penalty on weights.
     pub l2: f64,
@@ -32,7 +31,7 @@ impl Default for SoftmaxConfig {
 }
 
 /// A trained softmax classifier: `p(y=k|x) ∝ exp(w_k·x + b_k)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SoftmaxRegression {
     /// `k × f` weights.
     weights: Vec<Vec<f64>>,

@@ -2,11 +2,10 @@
 
 use crate::phase::PhaseI;
 use num_complex::Complex64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the four single-qubit Pauli operators.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Pauli {
     /// Identity.
     I,

@@ -9,11 +9,10 @@
 
 use crate::phase::PhaseI;
 use crate::single::Pauli;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An `n`-qubit Pauli string (tensor product of single-qubit Paulis).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PauliString {
     n: usize,
     x: u64,

@@ -6,13 +6,12 @@
 //! Pauli strings.
 
 use crate::string::PauliString;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A Hermitian observable `Σ_j c_j P_j` with real coefficients `c_j` and
 /// Pauli strings `P_j`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PauliSum {
     n: usize,
     terms: Vec<(f64, PauliString)>,

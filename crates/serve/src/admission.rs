@@ -38,10 +38,6 @@
 //! whose budget expires while queued is dropped at dispatch
 //! ([`Rejected::DeadlineExceeded`]) rather than served uselessly late.
 //!
-//! The ladder's threshold geometry and hysteretic state machine are
-//! factored out as [`BrownoutLadder`] so the sharded [`crate::Router`]
-//! can run the *same* ladder over an aggregated fleet-wide depth.
-//!
 //! ```
 //! use serve::admission::{AdmissionController, Rejected, TenantId};
 //!
@@ -188,6 +184,9 @@ pub enum Rejected {
     },
     /// The server is shutting down and no longer admits requests (the
     /// queue drains; already-admitted requests are still answered).
+    /// Also what a [`crate::ResponseHandle`] resolves to when its server
+    /// was dropped with the request still queued, so it can never be
+    /// answered.
     ShuttingDown,
 }
 
@@ -242,12 +241,9 @@ impl fmt::Display for Rejected {
 impl Error for Rejected {}
 
 /// The brownout ladder's threshold geometry plus its hysteretic rung
-/// state machine, factored out of [`AdmissionController`] so other
-/// components can run the identical ladder over a depth they observe
-/// rather than own — the sharded [`crate::Router`] walks one of these
-/// over the *summed* queue depth of its whole shard fleet.
+/// state machine.
 #[derive(Clone, Debug)]
-pub struct BrownoutLadder {
+struct BrownoutLadder {
     capacity: usize,
     high_water: usize,
     low_water: usize,
@@ -365,7 +361,7 @@ impl AdmissionController {
     /// the remaining headroom: slack traffic is deferred halfway between
     /// the high-water mark and capacity, and the global shed trips just
     /// under the hard bound. `high_water ≥ capacity` disables the whole
-    /// ladder, leaving only the hard bound (see [`BrownoutLadder`]).
+    /// ladder, leaving only the hard bound.
     pub fn new(capacity: usize, high_water: usize) -> Self {
         AdmissionController {
             ladder: BrownoutLadder::new(capacity, high_water),

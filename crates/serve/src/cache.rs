@@ -36,9 +36,7 @@ const NIL: usize = usize::MAX;
 
 /// Quantizes a raw input onto the cache-key grid: each coordinate maps
 /// to `round(v · quant_scale) as i64`. This is the *canonical* identity
-/// of a data point throughout the serve layer — the cache keys on it,
-/// and the sharded [`crate::Router`] consistent-hashes it, so the rows
-/// for one point always live on exactly one shard.
+/// of a data point throughout the serve layer: the cache keys on it.
 pub fn quantize_key(x: &[f64], quant_scale: f64) -> Vec<i64> {
     x.iter()
         .map(|&v| (v * quant_scale).round() as i64)

@@ -37,14 +37,6 @@
 //! burst / diurnal / flash-crowd [`RateProfile`]s) with windowed
 //! [`Monitor`] time series.
 //!
-//! When one server is not enough, a [`Router`] fronts N shard servers
-//! behind a consistent hash of the quantized feature key — each data
-//! point's cached rows live on exactly one shard — with the brownout
-//! ladder re-run fleet-wide over aggregated shard depth, a simulated
-//! network cost model charged on the shared clock (so benchmarks can
-//! measure where coordination starts to dominate), and staged
-//! shard-by-shard rollout with automatic rollback (see [`router`]).
-//!
 //! ```
 //! use pvqnn::features::FeatureBackend;
 //! use pvqnn::model::RegressorMode;
@@ -79,11 +71,10 @@ pub mod loadgen;
 pub mod model;
 pub mod monitor;
 pub mod registry;
-pub mod router;
 pub mod server;
 pub mod stats;
 
-pub use admission::{AdmissionController, BrownoutLadder, BrownoutLevel, Rejected, TenantId};
+pub use admission::{AdmissionController, BrownoutLevel, Rejected, TenantId};
 pub use cache::{quantize_key, CacheStats, FeatureCache};
 pub use clock::{CostModel, SimClock};
 pub use engine::{ComputedRows, EngineError, FeatureEngine};
@@ -94,9 +85,6 @@ pub use loadgen::{
 pub use model::{Prediction, ServedModel};
 pub use monitor::{Monitor, MonitorSample};
 pub use registry::{ModelRegistry, ModelVersion};
-pub use router::{
-    NetworkCostModel, RolloutCriteria, RolloutReport, Router, RouterConfig, RouterStats, ShardSwap,
-};
 pub use server::{
     spawn_worker, Response, ResponseHandle, ServeResult, Server, ServerConfig, MAX_COORDINATE,
 };

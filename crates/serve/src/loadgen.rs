@@ -271,8 +271,8 @@ impl std::error::Error for TraceParseError {}
 /// ```
 ///
 /// CSV: header `at_us,tenant,point,deadline_us`, empty last field for
-/// no deadline. Both parsers are hand-rolled (the workspace's `serde`
-/// is a vendored marker stub) and reject rather than guess: unknown
+/// no deadline. Both parsers are hand-rolled (the workspace carries no
+/// serialization crate) and reject rather than guess: unknown
 /// keys, missing fields, and non-integer values are
 /// [`TraceParseError`]s with line numbers.
 #[derive(Clone, Debug, Default)]

@@ -163,18 +163,20 @@ impl ResponseHandle {
         self.id
     }
 
-    /// Blocks until the response arrives.
+    /// Blocks until the response arrives; [`Rejected::ShuttingDown`]
+    /// if the server was dropped without answering.
     pub fn wait(self) -> ServeResult {
-        self.rx.recv().expect("server dropped without responding")
+        self.rx.recv().unwrap_or(Err(Rejected::ShuttingDown))
     }
 
     /// Non-blocking poll; `None` while the request is still queued or
-    /// in flight.
+    /// in flight, [`Rejected::ShuttingDown`] if the server was dropped
+    /// without answering.
     pub fn try_take(&self) -> Option<ServeResult> {
         match self.rx.try_recv() {
             Ok(r) => Some(r),
             Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => panic!("server dropped without responding"),
+            Err(TryRecvError::Disconnected) => Some(Err(Rejected::ShuttingDown)),
         }
     }
 }
@@ -281,7 +283,6 @@ pub struct Server {
     registry: ModelRegistry,
     engine: FeatureEngine,
     clock: SimClock,
-    start_ns: u64,
     state: Mutex<QueueState>,
     work: Condvar,
     cache: Mutex<FeatureCache>,
@@ -298,24 +299,10 @@ impl Server {
 
     /// A server computing cache misses on the given engine.
     pub fn with_engine(config: ServerConfig, engine: FeatureEngine) -> Self {
-        Self::with_engine_and_clock(config, engine, SimClock::new())
-    }
-
-    /// A server sharing an externally owned [`SimClock`] — how the
-    /// sharded [`crate::Router`] keeps its whole fleet on one simulated
-    /// timeline. Handles into `clock` remain valid: `SimClock` clones
-    /// share state.
-    pub fn with_engine_and_clock(
-        config: ServerConfig,
-        engine: FeatureEngine,
-        clock: SimClock,
-    ) -> Self {
         assert!(config.max_batch > 0, "max_batch must be positive");
-        let start_ns = clock.now_ns();
         Server {
             registry: ModelRegistry::new(),
             engine,
-            start_ns,
             state: Mutex::new(QueueState {
                 queues: BTreeMap::new(),
                 len: 0,
@@ -328,7 +315,7 @@ impl Server {
             stats: Mutex::new(Counters::default()),
             next_id: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
-            clock,
+            clock: SimClock::new(),
             config,
         }
     }
@@ -367,16 +354,6 @@ impl Server {
     /// Total requests currently queued (all tenants).
     pub fn queue_depth(&self) -> usize {
         self.state.lock().expect("server lock poisoned").len
-    }
-
-    /// One tenant's currently queued request count. The sharded router
-    /// sums this across its fleet to run fleet-wide fair-share checks.
-    pub fn tenant_depth(&self, tenant: TenantId) -> usize {
-        self.state
-            .lock()
-            .expect("server lock poisoned")
-            .admission
-            .depth_of(tenant)
     }
 
     /// The brownout-ladder rung admission currently sits on.
@@ -604,36 +581,15 @@ impl Server {
     /// terminates precisely when no work is left even if a whole batch
     /// expired on its deadlines.
     pub fn step(&self) -> usize {
-        self.step_with(None).0
-    }
-
-    /// Like [`Self::step`], but *defers* the simulated-time charge: the
-    /// batch cost is computed and completion timestamps are stamped at
-    /// `now + cost + extra_latency_ns` **without advancing the shared
-    /// clock**, and the cost is returned alongside the dispatch count.
-    ///
-    /// This is the sharded drive primitive: the [`crate::Router`] steps
-    /// every shard once per round and then advances the shared clock by
-    /// the *maximum* shard cost (plus network/coordination overhead) —
-    /// shards run in parallel in simulated time, so their batch costs
-    /// must not serialize on the clock. `extra_latency_ns` is the
-    /// network detour each response takes (router→shard→router hops),
-    /// visible in request latency but not in shard compute cost.
-    pub fn step_deferred(&self, extra_latency_ns: u64) -> (usize, u64) {
-        self.step_with(Some(extra_latency_ns))
-    }
-
-    fn step_with(&self, defer_extra_ns: Option<u64>) -> (usize, u64) {
         let batch: Vec<Pending> = {
             let mut state = self.state.lock().expect("server lock poisoned");
             self.form_batch(&mut state)
         };
-        if batch.is_empty() {
-            return (0, 0);
-        }
         let dispatched = batch.len();
-        let cost_ns = self.run_batch(batch, defer_extra_ns);
-        (dispatched, cost_ns)
+        if dispatched > 0 {
+            self.run_batch(batch);
+        }
+        dispatched
     }
 
     /// Serves micro-batches until the queue is empty; returns the total
@@ -649,19 +605,16 @@ impl Server {
         }
     }
 
-    /// Executes one formed micro-batch end to end and returns its
-    /// simulated cost in ns. The active model is resolved exactly once,
-    /// here — a concurrent deploy affects only batches formed later
-    /// (hot-swap: the old version drains). With `defer_extra_ns: None`
-    /// the cost is charged on the clock; with `Some(extra)` the clock is
-    /// left alone and completions are stamped `now + cost + extra` (see
-    /// [`Self::step_deferred`]).
-    fn run_batch(&self, batch: Vec<Pending>, defer_extra_ns: Option<u64>) -> u64 {
+    /// Executes one formed micro-batch end to end and charges its
+    /// simulated cost on the clock. The active model is resolved exactly
+    /// once, here — a concurrent deploy affects only batches formed
+    /// later (hot-swap: the old version drains).
+    fn run_batch(&self, batch: Vec<Pending>) {
         let Some((version, model)) = self.registry.active() else {
             for p in batch {
                 let _ = p.tx.send(Err(Rejected::NoActiveModel));
             }
-            return 0;
+            return;
         };
         let now = self.clock.now_ns();
         // Requests were validated against the model active at *submit*
@@ -698,7 +651,7 @@ impl Server {
             }
         }
         if live.is_empty() {
-            return 0;
+            return;
         }
 
         // Cache phase: resolve hits, dedupe misses within the batch so
@@ -833,21 +786,17 @@ impl Server {
             }
         }
         if survivors.is_empty() {
-            return 0;
+            return;
         }
 
         // Head phase: one fused sweep over the whole micro-batch.
         let mat = Mat::from_vec(survivors.len(), cols, head_rows);
         let predictions = model.predict_batch(&mat);
 
-        // Account simulated time once per batch, then respond. A
-        // deferred charge leaves the clock to the round driver and only
-        // stamps when this batch *would* finish.
-        let cost_ns = self.config.cost.batch_cost_ns(survivors.len(), misses);
-        let done = match defer_extra_ns {
-            None => self.clock.advance_ns(cost_ns),
-            Some(extra) => now.saturating_add(cost_ns).saturating_add(extra),
-        };
+        // Account simulated time once per batch, then respond.
+        let done = self
+            .clock
+            .advance_ns(self.config.cost.batch_cost_ns(survivors.len(), misses));
         let served = survivors.len();
         let mut stats = self.stats.lock().expect("server lock poisoned");
         stats.batches += 1;
@@ -872,14 +821,14 @@ impl Server {
                 cache_hit,
             }));
         }
-        cost_ns
     }
 
     /// A consistent stats snapshot.
     pub fn stats(&self) -> ServerStats {
         let cache = self.cache.lock().expect("server lock poisoned").stats();
         let stats = self.stats.lock().expect("server lock poisoned");
-        let sim_elapsed_ns = self.clock.now_ns().saturating_sub(self.start_ns);
+        // The clock is the server's own and starts at zero.
+        let sim_elapsed_ns = self.clock.now_ns();
         let sim_elapsed_s = sim_elapsed_ns as f64 / 1e9;
         let per_tenant = stats
             .tenants

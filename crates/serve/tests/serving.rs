@@ -10,9 +10,12 @@ use pvqnn::model::RegressorMode;
 use pvqnn::{FeatureGenerator, PostVarClassifier, PostVarRegressor, Strategy};
 use serve::{
     run_closed_loop, spawn_worker, FeatureEngine, LoadGenConfig, Prediction, Rejected, Server,
-    ServerConfig,
+    ServerConfig, TenantId,
 };
+use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use serve::demo_catalogue as catalogue;
 
@@ -408,6 +411,22 @@ fn submit_after_stop_is_rejected() {
     assert_eq!(server.submit(x).err(), Some(Rejected::ShuttingDown));
 }
 
+/// A server dropped with requests still queued can never answer them:
+/// their handles resolve to `ShuttingDown`, both blocking and polled,
+/// instead of panicking in the client.
+#[test]
+fn dropped_server_resolves_queued_handles_shutting_down() {
+    let server = Server::new(ServerConfig::default());
+    server.deploy(regressor(FeatureBackend::Exact));
+    let x = catalogue(1).pop().unwrap();
+    let waited = server.submit(x.clone()).unwrap();
+    let polled = server.submit(x).unwrap();
+    assert_eq!(polled.try_take(), None, "queued, not yet served");
+    drop(server);
+    assert_eq!(polled.try_take(), Some(Err(Rejected::ShuttingDown)));
+    assert_eq!(waited.wait(), Err(Rejected::ShuttingDown));
+}
+
 /// Overload: the hard bound and the hysteretic brownout controller both
 /// reject with typed errors, and draining reopens admission. A single
 /// anonymous tenant flooding trips the first ladder rung
@@ -597,6 +616,149 @@ fn worker_thread_serves_concurrent_clients_bitwise() {
     assert_eq!(stats.completed, 100);
     assert_eq!(stats.submitted, 100);
     assert!(stats.cache.hits > 0, "10 unique points, 100 requests");
+}
+
+/// Hot-swap under live traffic: four client threads across three
+/// tenants submit through a dedicated batcher while a control thread
+/// deploys v2 (same generator, different head) mid-stream and then
+/// re-activates v1. Every response is bit-for-bit the lone `predict` of
+/// the version that served it, every admitted request is answered
+/// exactly once, and every tenant's books balance after stop().
+#[test]
+fn worker_thread_hot_swaps_under_concurrent_clients() {
+    let points = catalogue(20);
+    let generator = FeatureGenerator::new(
+        Strategy::observable_construction(4, 1),
+        FeatureBackend::Exact,
+    );
+    let y1: Vec<f64> = (0..20).map(|i| (i as f64 * 0.37).sin()).collect();
+    let y2: Vec<f64> = (0..20).map(|i| (i as f64 * 0.37).cos()).collect();
+    let m1 = PostVarRegressor::fit(generator.clone(), &points, &y1, RegressorMode::Ridge(1e-6));
+    let m2 = PostVarRegressor::fit(generator, &points, &y2, RegressorMode::Ridge(1e-6));
+    let lone = |m: &PostVarRegressor| -> Vec<Prediction> {
+        points
+            .iter()
+            .map(|x| Prediction::Value(m.predict(std::slice::from_ref(x))[0]))
+            .collect()
+    };
+    let (expect1, expect2) = (lone(&m1), lone(&m2));
+    assert_ne!(expect1, expect2, "the two heads genuinely differ");
+
+    // A low high-water mark so the flood of four clients also trips
+    // fair-share shedding, which the books must account for.
+    let max_batch = 8u64;
+    let server = Arc::new(Server::new(ServerConfig {
+        max_batch: max_batch as usize,
+        queue_capacity: 64,
+        high_water: 16,
+        default_deadline_ns: 0,
+        ..Default::default()
+    }));
+    let v1 = server.deploy(m1);
+    let worker = spawn_worker(Arc::clone(&server));
+    let done = Arc::new(AtomicBool::new(false));
+    let points = Arc::new(points);
+    let clients: Vec<_> = (0..4u32)
+        .map(|c| {
+            let server = Arc::clone(&server);
+            let points = Arc::clone(&points);
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let tenant = TenantId(c % 3);
+                let mut answered = Vec::new();
+                let mut shed = 0u64;
+                let mut i = c as usize * 7;
+                while !done.load(Ordering::SeqCst) {
+                    // A window of in-flight requests, then wait on each.
+                    let mut window = Vec::new();
+                    for _ in 0..6 {
+                        let pid = i % points.len();
+                        i += 1;
+                        match server.submit_for(tenant, points[pid].clone()) {
+                            Ok(h) => window.push((pid, h)),
+                            Err(Rejected::TenantOverShare { .. }) => shed += 1,
+                            Err(other) => panic!("unexpected rejection {other}"),
+                        }
+                    }
+                    if window.is_empty() {
+                        std::thread::yield_now();
+                    }
+                    for (pid, h) in window {
+                        answered.push((h.id(), pid, h.wait()));
+                    }
+                }
+                (tenant, answered, shed)
+            })
+        })
+        .collect();
+
+    // Control: every batch that starts after a swap serves the new
+    // version, and at most one batch (≤ max_batch rows) is in flight
+    // across it, so waiting for max_batch + 16 more completions
+    // guarantees ≥ 16 responses from each phase.
+    let control = {
+        let server = Arc::clone(&server);
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let completed_past = |target: u64| {
+                while server.stats().completed < target {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            };
+            completed_past(40);
+            let v2 = server.deploy(m2);
+            completed_past(server.stats().completed + max_batch + 16);
+            assert!(server.registry().activate(v1));
+            completed_past(server.stats().completed + max_batch + 16);
+            done.store(true, Ordering::SeqCst);
+            v2
+        })
+    };
+    let v2 = control.join().unwrap();
+
+    let mut ids = HashSet::new();
+    let mut per_version: BTreeMap<u32, u64> = BTreeMap::new();
+    // tenant → (admitted, completed, shed) as the clients saw them.
+    let mut seen: BTreeMap<TenantId, (u64, u64, u64)> = BTreeMap::new();
+    for client in clients {
+        let (tenant, answered, shed) = client.join().unwrap();
+        let books = seen.entry(tenant).or_default();
+        books.2 += shed;
+        for (id, pid, result) in answered {
+            books.0 += 1;
+            assert!(ids.insert(id), "request {id} answered twice");
+            let r = result.expect("admitted, same qubit count, no deadline → served");
+            books.1 += 1;
+            assert_eq!(r.id, id);
+            assert_eq!(r.tenant, tenant);
+            let expected = if r.model == v1 {
+                &expect1
+            } else {
+                assert_eq!(r.model, v2, "only v1 and v2 were ever active");
+                &expect2
+            };
+            assert_eq!(r.prediction, expected[pid], "request {id} on {}", r.model);
+            *per_version.entry(r.model.0).or_default() += 1;
+        }
+    }
+    let served_by = |v: serve::ModelVersion| per_version.get(&v.0).copied().unwrap_or(0);
+    assert!(served_by(v1) >= 40 + 16, "v1 served before and after");
+    assert!(served_by(v2) >= 16, "v2 served mid-stream");
+
+    server.stop();
+    worker.join().unwrap();
+    let stats = server.stats();
+    assert_eq!(
+        stats.completed,
+        ids.len() as u64,
+        "each answered exactly once"
+    );
+    assert_eq!(stats.per_tenant.len(), 3);
+    for t in &stats.per_tenant {
+        assert_eq!(t.submitted, t.shed + t.admitted, "tenant {}", t.tenant);
+        assert_eq!(t.admitted, t.completed + t.dropped, "tenant {}", t.tenant);
+        assert_eq!((t.admitted, t.completed, t.shed), seen[&t.tenant]);
+    }
 }
 
 /// The closed-loop load generator over a Zipf stream: deterministic,
