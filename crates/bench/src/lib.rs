@@ -2,7 +2,8 @@
 //!
 //! Shared setup for the `exp_*` binaries that regenerate every table and
 //! figure of the paper (see DESIGN.md's experiment index), plus pretty
-//! table printing. Criterion microbenchmarks live in `benches/`.
+//! table printing. Kernel timings are `exp_scaling`'s metrics; the
+//! train → serve pipeline is timed by `perfbench`.
 
 pub mod heads;
 pub mod report;

@@ -101,9 +101,9 @@ impl QpuDevice {
 
     /// Whether submission attempt `attempt` of `job` hits the injected
     /// transient-failure draw. Deterministic given the device seed, job id
-    /// and attempt — it is exactly the draw [`Self::try_execute`] makes,
-    /// so schedulers can *predict* placement (the work-stealing policy's
-    /// simulated-time dispatch) and execution then reproduces it.
+    /// and attempt, so schedulers can *predict* placement (the
+    /// work-stealing policy's simulated-time dispatch) and execution then
+    /// reproduces it.
     pub fn would_fail(&self, job: &CircuitJob, attempt: u32) -> bool {
         if self.config.fail_prob <= 0.0 {
             return false;
@@ -114,18 +114,6 @@ impl QpuDevice {
                 ^ (attempt as u64).wrapping_mul(0x1405_7B7E_F767_814F),
         );
         fail_rng.random::<f64>() < self.config.fail_prob
-    }
-
-    /// Attempts a job, returning `None` on an injected transient failure
-    /// (the pool retries elsewhere). Attempt number `attempt` decorrelates
-    /// the failure draw across retries on the same device.
-    pub fn try_execute(&mut self, job: &CircuitJob, attempt: u32) -> Option<JobResult> {
-        if self.would_fail(job, attempt) {
-            // Failed submissions still occupy the device briefly.
-            self.sim_busy_ns += self.config.submit_overhead_ns;
-            return None;
-        }
-        Some(self.execute(job))
     }
 
     /// Pure execution: per-observable estimates, deterministic given the

@@ -371,11 +371,6 @@ impl QpuPool {
         self
     }
 
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.devices.len()
-    }
-
     /// The scheduling policy.
     pub fn policy(&self) -> SchedulePolicy {
         self.policy

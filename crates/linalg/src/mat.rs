@@ -53,11 +53,6 @@ impl Mat {
         }
     }
 
-    /// A column vector from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Mat::from_vec(v.len(), 1, v.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -98,11 +93,6 @@ impl Mat {
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copy of column `j`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// Transpose.
@@ -187,11 +177,6 @@ impl Mat {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Max (element-wise) norm `‖A‖_max` — the norm Theorems 3–4 bound.
-    pub fn norm_max(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
-    }
-
     /// Max element-wise difference to another matrix.
     pub fn max_abs_diff(&self, rhs: &Mat) -> f64 {
         assert_eq!(self.shape(), rhs.shape());
@@ -205,26 +190,6 @@ impl Mat {
     /// Whether every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
-    }
-
-    /// Horizontal concatenation `[self | rhs]`.
-    pub fn hcat(&self, rhs: &Mat) -> Mat {
-        assert_eq!(self.rows, rhs.rows);
-        let mut out = Mat::zeros(self.rows, self.cols + rhs.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(rhs.row(i));
-        }
-        out
-    }
-
-    /// Returns the submatrix of the listed rows (cloned).
-    pub fn select_rows(&self, indices: &[usize]) -> Mat {
-        let mut out = Mat::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            out.row_mut(dst).copy_from_slice(self.row(src));
-        }
-        out
     }
 }
 
@@ -386,7 +351,7 @@ mod tests {
         let a = random_mat(5, 4, 8);
         let v: Vec<f64> = (0..4).map(|i| i as f64 - 1.5).collect();
         let got = a.matvec(&v);
-        let want = a.matmul(&Mat::col_vector(&v));
+        let want = a.matmul(&Mat::from_vec(4, 1, v.clone()));
         for (i, g) in got.iter().enumerate() {
             assert!((g - want[(i, 0)]).abs() < 1e-13);
         }
@@ -407,18 +372,6 @@ mod tests {
     fn norms() {
         let m = Mat::from_rows(&[vec![3.0, 0.0], vec![0.0, -4.0]]);
         assert!((m.norm_fro() - 5.0).abs() < 1e-15);
-        assert!((m.norm_max() - 4.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn hcat_and_select() {
-        let a = Mat::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Mat::from_rows(&[vec![5.0], vec![6.0]]);
-        let c = a.hcat(&b);
-        assert_eq!(c.shape(), (2, 3));
-        assert_eq!(c[(1, 2)], 6.0);
-        let sel = c.select_rows(&[1]);
-        assert_eq!(sel.row(0), &[3.0, 4.0, 6.0]);
     }
 
     #[test]

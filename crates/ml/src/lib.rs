@@ -8,7 +8,6 @@
 //! and the ℓ2-ball-constrained convex fits of Theorem 4. All implemented
 //! here from scratch on top of `linalg`.
 
-pub mod crossval;
 pub mod data;
 pub mod logistic;
 pub mod loss;
@@ -17,7 +16,6 @@ pub mod mlp;
 pub mod optim;
 pub mod softmax;
 
-pub use crossval::{cross_validate, kfold_indices};
 pub use data::{one_hot, standardize, train_test_split};
 pub use logistic::{LogisticConfig, LogisticRegression};
 pub use loss::{bce_loss, mae_loss, rmse_loss, softmax_ce_loss};

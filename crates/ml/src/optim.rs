@@ -46,17 +46,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f64 {
-        self.lr
-    }
-
-    /// Sets the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f64) {
-        assert!(lr > 0.0);
-        self.lr = lr;
-    }
-
     /// Applies one update `params ← params − lr·m̂/(√v̂ + ε)`.
     pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), self.m.len());

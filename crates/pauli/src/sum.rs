@@ -27,14 +27,6 @@ impl PauliSum {
         }
     }
 
-    /// An observable with a single term.
-    pub fn from_term(coeff: f64, p: PauliString) -> Self {
-        PauliSum {
-            n: p.num_qubits(),
-            terms: vec![(coeff, p)],
-        }
-    }
-
     /// Builds from a list of `(coefficient, string)` pairs.
     ///
     /// # Panics
@@ -117,22 +109,6 @@ impl PauliSum {
             .max()
             .unwrap_or(0)
     }
-
-    /// Whether every term acts on at most `l` qubits.
-    pub fn is_local(&self, l: usize) -> bool {
-        self.max_locality() <= l
-    }
-
-    /// `Σ_j |c_j|` — an upper bound on the spectral norm of the observable
-    /// (triangle inequality; each Pauli string has spectral norm 1).
-    pub fn coeff_l1(&self) -> f64 {
-        self.terms.iter().map(|(c, _)| c.abs()).sum()
-    }
-
-    /// `√(Σ_j c_j²)`.
-    pub fn coeff_l2(&self) -> f64 {
-        self.terms.iter().map(|(c, _)| c * c).sum::<f64>().sqrt()
-    }
 }
 
 impl fmt::Display for PauliSum {
@@ -174,19 +150,15 @@ mod tests {
             (-4.0, PauliString::parse("XYI").unwrap()),
         ]);
         assert_eq!(s.max_locality(), 2);
-        assert!(s.is_local(2));
-        assert!(!s.is_local(1));
-        assert!((s.coeff_l1() - 7.0).abs() < 1e-15);
-        assert!((s.coeff_l2() - 5.0).abs() < 1e-15);
     }
 
     #[test]
     fn add_scale() {
-        let a = PauliSum::from_term(1.0, PauliString::single(2, 0, Pauli::Z));
-        let b = PauliSum::from_term(2.0, PauliString::single(2, 1, Pauli::X));
+        let a = PauliSum::from_terms(vec![(1.0, PauliString::single(2, 0, Pauli::Z))]);
+        let b = PauliSum::from_terms(vec![(2.0, PauliString::single(2, 1, Pauli::X))]);
         let c = a.add(&b).scale(2.0);
-        assert_eq!(c.num_terms(), 2);
-        assert!((c.coeff_l1() - 6.0).abs() < 1e-15);
+        let coeffs: Vec<f64> = c.terms().iter().map(|&(c, _)| c).collect();
+        assert_eq!(coeffs, [2.0, 4.0]);
     }
 
     #[test]

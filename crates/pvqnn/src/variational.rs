@@ -9,7 +9,6 @@
 //! removes.
 
 use crate::encoding::column_encoding;
-use linalg::Mat;
 use ml::loss::{bce_loss, softmax_ce_loss};
 use ml::optim::Adam;
 use pauli::PauliString;
@@ -232,25 +231,6 @@ impl VariationalClassifier {
         let loss = softmax_ce_loss(labels, &probs);
         let preds = self.predict_multiclass(data);
         (loss, ml::accuracy_multiclass(labels, &preds))
-    }
-
-    /// Exposes per-sample head values (diagnostics; e.g. Table III's
-    /// decision margins).
-    pub fn decision_values(&self, data: &[Vec<f64>]) -> Vec<f64> {
-        data.par_iter()
-            .map(|x| self.head_value(x, &self.theta))
-            .collect()
-    }
-
-    /// The feature matrix a *post-variational* observer would see from the
-    /// trained circuit: one column per observable at the trained θ. Used
-    /// by tests to cross-check CQO equivalence (§III.D).
-    pub fn feature_column(&self, data: &[Vec<f64>]) -> Mat {
-        let col: Vec<Vec<f64>> = data
-            .iter()
-            .map(|x| vec![self.head_value(x, &self.theta)])
-            .collect();
-        Mat::from_rows(&col)
     }
 }
 

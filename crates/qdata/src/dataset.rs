@@ -1,8 +1,5 @@
 //! In-memory image datasets.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-
 /// The ten Fashion-MNIST classes in the official label order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FashionClass {
@@ -46,11 +43,6 @@ impl FashionClass {
     /// The numeric label (0–9).
     pub fn label(self) -> usize {
         Self::ALL.iter().position(|&c| c == self).unwrap()
-    }
-
-    /// From a numeric label.
-    pub fn from_label(l: usize) -> Option<Self> {
-        Self::ALL.get(l).copied()
     }
 
     /// Human-readable name.
@@ -99,51 +91,6 @@ impl Dataset {
         self.labels.push(label);
     }
 
-    /// Keeps only samples whose label is in `keep`, remapping labels to
-    /// `0..keep.len()` in the order given (e.g. `[Coat, Shirt] → {0, 1}`).
-    pub fn filter_classes(&self, keep: &[usize]) -> Dataset {
-        let mut out = Dataset::default();
-        for (img, &l) in self.images.iter().zip(self.labels.iter()) {
-            if let Some(new_label) = keep.iter().position(|&k| k == l) {
-                out.push(img.clone(), new_label);
-            }
-        }
-        out
-    }
-
-    /// Draws a class-balanced subset with `per_class` samples of each
-    /// label present, shuffled deterministically.
-    pub fn balanced_subset(&self, per_class: usize, seed: u64) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut by_class: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for (i, &l) in self.labels.iter().enumerate() {
-            by_class.entry(l).or_default().push(i);
-        }
-        let mut chosen = Vec::new();
-        for (label, mut idxs) in by_class {
-            assert!(
-                idxs.len() >= per_class,
-                "class {label} has only {} samples, need {per_class}",
-                idxs.len()
-            );
-            for i in (1..idxs.len()).rev() {
-                let j = rng.random_range(0..=i);
-                idxs.swap(i, j);
-            }
-            chosen.extend_from_slice(&idxs[..per_class]);
-        }
-        // Shuffle across classes too.
-        for i in (1..chosen.len()).rev() {
-            let j = rng.random_range(0..=i);
-            chosen.swap(i, j);
-        }
-        let mut out = Dataset::default();
-        for &i in &chosen {
-            out.push(self.images[i].clone(), self.labels[i]);
-        }
-        out
-    }
-
     /// Splits into `(train, test)` by sample counts, preserving order.
     pub fn split_at(&self, train_len: usize) -> (Dataset, Dataset) {
         assert!(train_len <= self.len());
@@ -154,14 +101,6 @@ impl Dataset {
             target.push(self.images[i].clone(), self.labels[i]);
         }
         (train, test)
-    }
-
-    /// The distinct labels present, sorted.
-    pub fn classes(&self) -> Vec<usize> {
-        let mut c: Vec<usize> = self.labels.clone();
-        c.sort_unstable();
-        c.dedup();
-        c
     }
 }
 
@@ -179,56 +118,11 @@ mod tests {
 
     #[test]
     fn class_enum_roundtrip() {
-        for c in FashionClass::ALL {
-            assert_eq!(FashionClass::from_label(c.label()), Some(c));
+        for (l, c) in FashionClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.label(), l);
         }
         assert_eq!(FashionClass::Coat.label(), 4);
         assert_eq!(FashionClass::Shirt.label(), 6);
-        assert!(FashionClass::from_label(10).is_none());
-    }
-
-    #[test]
-    fn filter_remaps_labels() {
-        let d = tiny();
-        let f = d.filter_classes(&[2, 0]);
-        assert_eq!(f.len(), 8);
-        assert_eq!(f.classes(), vec![0, 1]);
-        // Original label 2 → 0, label 0 → 1.
-        let first_orig_2 = d.labels.iter().position(|&l| l == 2).unwrap();
-        assert_eq!(
-            f.labels[f
-                .images
-                .iter()
-                .position(|img| img == &d.images[first_orig_2])
-                .unwrap()],
-            0
-        );
-    }
-
-    #[test]
-    fn balanced_subset_counts() {
-        let d = tiny();
-        let b = d.balanced_subset(2, 7);
-        assert_eq!(b.len(), 6);
-        for c in 0..3 {
-            assert_eq!(b.labels.iter().filter(|&&l| l == c).count(), 2);
-        }
-    }
-
-    #[test]
-    fn balanced_subset_deterministic() {
-        let d = tiny();
-        assert_eq!(
-            d.balanced_subset(2, 7).labels,
-            d.balanced_subset(2, 7).labels
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn balanced_subset_insufficient_samples() {
-        let d = tiny();
-        let _ = d.balanced_subset(100, 0);
     }
 
     #[test]

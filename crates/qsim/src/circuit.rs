@@ -254,15 +254,6 @@ impl ParamCircuit {
     pub fn bind_optimized(&self, theta: &[f64]) -> Circuit {
         self.bind(theta).elide_identities(1e-12)
     }
-
-    /// Prepends fixed gates of `prefix` (e.g. the data-encoding circuit
-    /// `S(x)`) to a bound copy of this ansatz: returns `self(θ) ∘ prefix`.
-    pub fn bind_with_prefix(&self, prefix: &Circuit, theta: &[f64]) -> Circuit {
-        assert_eq!(prefix.num_qubits(), self.n);
-        let mut c = prefix.clone();
-        c.extend(&self.bind_optimized(theta));
-        c
-    }
 }
 
 #[cfg(test)]

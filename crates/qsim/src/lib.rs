@@ -22,8 +22,9 @@
 //!
 //! Kernels switch to rayon data-parallel paths above
 //! [`state::PARALLEL_THRESHOLD`] amplitudes; below it the serial loop wins
-//! (measured in `bench/benches/gates.rs`, per the perf-book's
-//! "benchmark, don't guess").
+//! (measured by `exp_scaling`'s `thread_pool_speedup` and
+//! `gate_*_ns_per_amp` metrics, per the perf-book's "benchmark, don't
+//! guess").
 
 pub mod circuit;
 pub mod compile;

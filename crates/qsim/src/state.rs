@@ -36,9 +36,9 @@ const IDENTITY_TOL: f64 = 1e-12;
 /// of the ~10–25 µs/worker scoped-spawn cost that used to force this up
 /// to 2^16. A dense 2^13-amp kernel runs in ~15 µs single-thread
 /// (~1.8 ns/amp), so fan-out starts paying for itself right around 2^13
-/// amplitudes (128 KiB of doubles). Re-validated with
-/// `bench/benches/gates.rs` (`thread_scaling` + `threshold_sweep` groups)
-/// and recorded in `BENCH_scaling.json`.
+/// amplitudes (128 KiB of doubles). Re-validated by `exp_scaling`'s
+/// `thread_pool_speedup` and `gate_*_ns_per_amp` metrics, recorded in
+/// `BENCH_scaling.json`.
 pub const PARALLEL_THRESHOLD: usize = 1 << 13;
 
 /// Fixed amplitude-chunk size for the fused multi-observable kernel: 2^11

@@ -19,11 +19,20 @@
 //! so dead segments age out naturally without explicit invalidation.
 //!
 //! Keys quantize each input coordinate to a fixed grid
-//! (`round(x · quant_scale)`), so float jitter below half a grid step
-//! maps to the same entry. The grid step is therefore a *serving
-//! resolution* knob: requests closer than `0.5 / quant_scale` per
-//! coordinate are deliberately served the same features. The default
-//! scale (1e8) is far below any physically meaningful angle difference.
+//! (`round(x · quant_scale)`, grid step `1 / quant_scale`). The contract,
+//! per coordinate and measured on the scaled values `x · quant_scale`:
+//!
+//! * identical points share a key;
+//! * two points that share a key differ by less than one grid step;
+//! * a coordinate one grid step or more apart always gives a different key;
+//! * nearby points may still straddle a rounding boundary: 0.49 and 0.51
+//!   steps are 0.02 steps apart yet get keys 0 and 1.
+//!
+//! So closeness alone never guarantees a shared row; the grid only bounds
+//! how far apart two requests served the same features can be. Rounding
+//! `x · quant_scale` itself moves that bound by under 1% of a step for
+//! coordinates within [`crate::MAX_COORDINATE`] at the default scale
+//! (1e8), which is far below any physically meaningful angle difference.
 //!
 //! The LRU list is intrusive (index links into a slot arena), so `get`
 //! and `insert` are O(1) plus hashing, with no per-operation allocation
@@ -142,11 +151,6 @@ impl FeatureCache {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Entry count of one segment.
-    pub fn segment_len(&self, tag: u64) -> usize {
-        self.map.get(&tag).map_or(0, HashMap::len)
     }
 
     /// The cache key for a raw input (see [`quantize_key`]).
@@ -332,6 +336,9 @@ mod tests {
         let c = FeatureCache::new(4, 100.0); // grid step 0.01
         assert_eq!(c.quantize(&[0.1234]), c.quantize(&[0.1236]));
         assert_ne!(c.quantize(&[0.12]), c.quantize(&[0.13]));
+        // Nearness alone does not share a key: 0.02 grid steps apart, on
+        // either side of the half-step boundary.
+        assert_eq!(quantize_key(&[0.49e-8, 0.51e-8], 1e8), vec![0, 1]);
     }
 
     #[test]
@@ -345,8 +352,6 @@ mod tests {
         assert!(c.get(8, &[1]).is_none());
         c.insert(8, vec![1], vec![8.0]);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.segment_len(7), 1);
-        assert_eq!(c.segment_len(8), 1);
         // …and rolling back to segment 7 finds it still warm.
         assert_eq!(c.get(7, &[1]).unwrap(), &[1.0]);
         assert_eq!(c.get(8, &[1]).unwrap(), &[8.0]);
@@ -364,9 +369,9 @@ mod tests {
         // Touch segment 1 so segment 2 holds the LRU entry.
         assert!(c.get(1, &[10]).is_some());
         c.insert(3, vec![30], vec![3.0]);
-        assert_eq!(c.segment_len(2), 0, "dead segment entry evicted");
         assert!(c.get(1, &[10]).is_some());
         assert!(c.get(3, &[30]).is_some());
+        assert!(c.get(2, &[20]).is_none(), "dead segment entry evicted");
         assert_eq!(c.stats().evictions, 1);
     }
 

@@ -273,8 +273,10 @@ impl std::error::Error for TraceParseError {}
 /// CSV: header `at_us,tenant,point,deadline_us`, empty last field for
 /// no deadline. Both parsers are hand-rolled (the workspace carries no
 /// serialization crate) and reject rather than guess: unknown
-/// keys, missing fields, and non-integer values are
-/// [`TraceParseError`]s with line numbers.
+/// keys, missing fields, non-integer values, and times too large to
+/// express in u64 nanoseconds are [`TraceParseError`]s with line
+/// numbers, so every parsed trace round-trips through
+/// [`ArrivalTrace::to_jsonl`].
 #[derive(Clone, Debug, Default)]
 pub struct ArrivalTrace {
     events: Vec<TraceEvent>,
@@ -453,6 +455,14 @@ fn build_event(
         line: lineno,
         msg: format!("missing required field {what}"),
     };
+    // A µs value past `u64::MAX / 1000` has no ns representation; saturating
+    // would alias it onto `u64::MAX` and break the `to_jsonl` round trip.
+    let to_ns = |us: u64, what: &str| {
+        us.checked_mul(1_000).ok_or_else(|| TraceParseError {
+            line: lineno,
+            msg: format!("{what} {us} overflows u64 nanoseconds"),
+        })
+    };
     let tenant = tenant.ok_or_else(|| missing("tenant"))?;
     if tenant > u32::MAX as u64 {
         return Err(TraceParseError {
@@ -461,10 +471,10 @@ fn build_event(
         });
     }
     Ok(TraceEvent {
-        at_ns: at_us.ok_or_else(|| missing("at_us"))?.saturating_mul(1_000),
+        at_ns: to_ns(at_us.ok_or_else(|| missing("at_us"))?, "at_us")?,
         tenant: TenantId(tenant as u32),
         point: point.ok_or_else(|| missing("point"))? as usize,
-        deadline_ns: deadline_us.map(|d| d.saturating_mul(1_000)),
+        deadline_ns: deadline_us.map(|d| to_ns(d, "deadline_us")).transpose()?,
     })
 }
 
@@ -877,6 +887,18 @@ at_us,tenant,point,deadline_us
         assert!(err.msg.contains("header"), "{}", err.msg);
         let err = ArrivalTrace::from_csv("at_us,tenant,point,deadline_us\n1,2\n").unwrap_err();
         assert_eq!(err.line, 2);
+        // µs times past u64::MAX / 1000 have no ns form: rejected, not saturated.
+        let err = ArrivalTrace::from_jsonl(
+            "# header\n{\"at_us\": 18446744073709552, \"tenant\": 0, \"point\": 0}",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.msg.contains("at_us"), "{}", err.msg);
+        let err = ArrivalTrace::from_csv("at_us,tenant,point,deadline_us\n1,0,0,18446744073709552")
+            .unwrap_err();
+        assert!(err.msg.contains("deadline_us"), "{}", err.msg);
+        let edge = "{\"at_us\": 18446744073709551, \"tenant\": 0, \"point\": 0}\n";
+        assert_eq!(ArrivalTrace::from_jsonl(edge).unwrap().to_jsonl(), edge);
     }
 
     #[test]

@@ -136,24 +136,6 @@ impl Monitor {
     pub fn into_samples(self) -> Vec<MonitorSample> {
         self.samples
     }
-
-    /// The highest brownout rung observed across all samples.
-    pub fn peak_level(&self) -> BrownoutLevel {
-        self.samples
-            .iter()
-            .map(|s| s.level)
-            .max()
-            .unwrap_or_default()
-    }
-
-    /// The deepest queue observed across all samples.
-    pub fn peak_queue_depth(&self) -> usize {
-        self.samples
-            .iter()
-            .map(|s| s.queue_depth)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -196,6 +178,6 @@ mod tests {
         assert_eq!(s[0].completed, 1, "delta lands in the first window");
         assert_eq!(s[1].completed, 0);
         assert_eq!(s[2].t_ns, 3_000_000);
-        assert_eq!(mon.peak_level(), BrownoutLevel::Normal);
+        assert!(s.iter().all(|w| w.level == BrownoutLevel::Normal));
     }
 }

@@ -103,11 +103,6 @@ impl ModelRegistry {
         self.active.store(version.0 as usize, Ordering::SeqCst);
         true
     }
-
-    /// Number of versions ever deployed.
-    pub fn num_versions(&self) -> usize {
-        self.models.read().expect("registry lock poisoned").len()
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +132,6 @@ mod tests {
     fn empty_registry_has_no_active_model() {
         let r = ModelRegistry::new();
         assert!(r.active().is_none());
-        assert_eq!(r.num_versions(), 0);
         assert!(!r.activate(ModelVersion(1)));
         assert!(r.get(ModelVersion(0)).is_none(), "version 0 is reserved");
         assert!(r.get(ModelVersion(3)).is_none());
@@ -157,7 +151,7 @@ mod tests {
         let got1 = r.get(v1).unwrap();
         assert!(Arc::ptr_eq(&got1, &m1));
         assert!(!Arc::ptr_eq(&got1, &m2));
-        assert_eq!(r.num_versions(), 2);
+        assert!(r.get(ModelVersion(3)).is_none());
     }
 
     #[test]
@@ -189,6 +183,7 @@ mod tests {
         let x: Vec<f64> = (0..16).map(|j| 0.1 * j as f64).collect();
         let row = held.generator().generate_one(&x);
         let _ = held.predict_row(&row);
-        assert_eq!(r.num_versions(), 6);
+        assert!(r.get(ModelVersion(6)).is_some());
+        assert!(r.get(ModelVersion(7)).is_none());
     }
 }

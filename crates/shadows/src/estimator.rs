@@ -36,16 +36,6 @@ impl ShadowEstimator {
         (2.0 * (2.0 * num_observables as f64 / delta).ln()).ceil() as usize
     }
 
-    /// Number of snapshots.
-    pub fn num_snapshots(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// Number of median-of-means groups.
-    pub fn num_groups(&self) -> usize {
-        self.groups
-    }
-
     /// Snapshot index range `[lo, hi)` of median-of-means group `g` (the
     /// last group absorbs the remainder).
     fn group_bounds(&self, g: usize) -> (usize, usize) {

@@ -529,3 +529,138 @@ proptest! {
         }
     }
 }
+
+/// Strategy: a trace time in µs — small, at the edge of what u64
+/// nanoseconds can hold (`u64::MAX / 1000`), or anywhere in u64.
+fn trace_us() -> impl proptest::strategy::Strategy<Value = u64> {
+    (0..3u8, 0..u64::MAX).prop_map(|(kind, v)| match kind {
+        0 => v % 100_000,
+        1 => u64::MAX / 1000 - 2 + v % 5,
+        _ => v,
+    })
+}
+
+/// Strategy: one trace as `(JSONL, CSV)` texts of the same records. The
+/// JSONL lines rotate the field order and spell an absent deadline as
+/// omitted or `null`; tenants straddle the u32 limit; blank and comment
+/// lines sit between records.
+fn trace_texts() -> impl proptest::strategy::Strategy<Value = (String, String)> {
+    let tenant = (0..2u8, 0..8u64).prop_map(|(wide, t)| {
+        if wide == 0 {
+            t
+        } else {
+            u32::MAX as u64 - 3 + t
+        }
+    });
+    let record = (
+        trace_us(),
+        tenant,
+        0..1000u64,
+        (0..3u8, trace_us()),
+        0..4usize,
+        0..8u8,
+    );
+    proptest::collection::vec(record, 0..6).prop_map(|records| {
+        let mut jsonl = String::new();
+        let mut csv = String::from("at_us,tenant,point,deadline_us\n");
+        for (at, tenant, point, (deadline_kind, deadline), rot, filler) in records {
+            let filler = ["\n", "# comment\n"].get(filler as usize).unwrap_or(&"");
+            let mut fields = vec![
+                format!("\"at_us\": {at}"),
+                format!("\"tenant\": {tenant}"),
+                format!("\"point\": {point}"),
+            ];
+            let deadline = match deadline_kind {
+                0 => String::new(),
+                1 => {
+                    fields.push("\"deadline_us\": null".to_string());
+                    String::new()
+                }
+                _ => {
+                    fields.push(format!("\"deadline_us\": {deadline}"));
+                    deadline.to_string()
+                }
+            };
+            let rot = rot % fields.len();
+            fields.rotate_left(rot);
+            jsonl.push_str(&format!("{filler}{{{}}}\n", fields.join(", ")));
+            csv.push_str(&format!("{filler}{at},{tenant},{point},{deadline}\n"));
+        }
+        (jsonl, csv)
+    })
+}
+
+/// Every trace the parsers accept serializes back to itself.
+fn assert_round_trips(trace: &postvar::serve::ArrivalTrace) {
+    let back = postvar::serve::ArrivalTrace::from_jsonl(&trace.to_jsonl())
+        .expect("to_jsonl output must parse");
+    assert_eq!(back.events(), trace.events());
+}
+
+// Trace parsers read hand-edited files: they must never panic, and every
+// trace they accept must survive to_jsonl → from_jsonl unchanged.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn trace_parsers_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..96),
+    ) {
+        use postvar::serve::ArrivalTrace;
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(t) = ArrivalTrace::from_jsonl(&text) {
+            assert_round_trips(&t);
+        }
+        if let Ok(t) = ArrivalTrace::from_csv(&text) {
+            assert_round_trips(&t);
+        }
+    }
+
+    #[test]
+    fn accepted_traces_round_trip_and_formats_agree((jsonl, csv) in trace_texts()) {
+        use postvar::serve::ArrivalTrace;
+        let from_jsonl = ArrivalTrace::from_jsonl(&jsonl);
+        let from_csv = ArrivalTrace::from_csv(&csv);
+        if let Ok(t) = &from_jsonl {
+            assert_round_trips(t);
+        }
+        prop_assert_eq!(
+            from_jsonl.map(|t| t.events().to_vec()).ok(),
+            from_csv.map(|t| t.events().to_vec()).ok()
+        );
+    }
+}
+
+// The cache-key contract (`serve::cache` module docs), per coordinate on
+// the scaled values `v · quant_scale`: identical points share a key, a
+// shared key means less than one grid step apart, and one step or more
+// apart always means a different key.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn quantized_keys_shared_only_within_one_grid_step(
+        scale_exp in 0i32..9,
+        coords in proptest::collection::vec((-1.0f64..1.0, 0i32..7, -2.0f64..2.0), 1..6),
+    ) {
+        use postvar::serve::{quantize_key, MAX_COORDINATE};
+        let s = 10f64.powi(scale_exp);
+        let a: Vec<f64> = coords.iter().map(|&(u, mag, _)| u * 10f64.powi(mag)).collect();
+        let b: Vec<f64> = coords
+            .iter()
+            .zip(&a)
+            .map(|(&(_, _, steps), &x)| (x + steps / s).clamp(-MAX_COORDINATE, MAX_COORDINATE))
+            .collect();
+        let (ka, kb) = (quantize_key(&a, s), quantize_key(&b, s));
+        prop_assert_eq!(&quantize_key(&a, s), &ka);
+        let gaps: Vec<f64> = a.iter().zip(&b).map(|(x, y)| (x * s - y * s).abs()).collect();
+        if ka == kb {
+            prop_assert!(gaps.iter().all(|&g| g < 1.0), "shared key {ka:?} at gaps {gaps:?}");
+        }
+        for (i, &g) in gaps.iter().enumerate() {
+            if g >= 1.0 {
+                prop_assert_ne!(ka[i], kb[i], "gap {} steps shares a key", g);
+            }
+        }
+    }
+}
