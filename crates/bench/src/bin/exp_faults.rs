@@ -1,6 +1,7 @@
 //! The fault-injection experiment: deterministic chaos schedules
 //! replayed against the simulated QPU pool, measuring availability and
-//! tail latency while devices die, flap, and straggle.
+//! the recovery machinery's activity while devices die, flap, and
+//! straggle.
 //!
 //! Run:        `cargo run -p bench --bin exp_faults --release`
 //! Smoke (CI): `cargo run -p bench --bin exp_faults --release -- --smoke`
@@ -18,11 +19,11 @@
 //! 4. **flapping device** — short on/off outage bursts; the circuit
 //!    breaker quarantines the flapper and probes it back in.
 //!
-//! Two headline metrics are merged into `BENCH_scaling.json` under the
-//! 25% regression gate: `faults_availability` (higher is better) and
-//! `faults_p99_during_outage_ms` (lower is better — completion latency
-//! of jobs finishing inside the outage window, i.e. how well the pool
-//! routes around the dead device while it is dead).
+//! The headline metric `faults_availability` (scenario 1's completed ÷
+//! offered, higher is better) is merged into `BENCH_scaling.json` under
+//! the 25% regression gate, on top of its hard 99% floor. Latencies
+//! here would come from the pool's simulated device model, not a
+//! measurement, so none is reported.
 
 use bench::{baseline_gate_failures, read_numbers, ScalingReport, TablePrinter};
 use hpcq::{
@@ -37,10 +38,7 @@ use std::path::Path;
 const REGRESSION_TOLERANCE: f64 = 0.25;
 
 /// `(key, higher_is_better)` for the baseline gate.
-const GATED_METRICS: [(&str, bool); 2] = [
-    ("faults_availability", true),
-    ("faults_p99_during_outage_ms", false),
-];
+const GATED_METRICS: [(&str, bool); 1] = [("faults_availability", true)];
 
 /// Pool size for every scenario.
 const DEVICES: usize = 4;
@@ -119,30 +117,6 @@ fn run_scenario(
     }
 }
 
-/// p99 of completion latency (ms) over jobs finishing inside
-/// `[window_start, window_end)`; falls back to the overall p99 when no
-/// job completes inside the window.
-fn p99_completion_ms(r: &ScenarioResult, window_start: u64, window_end: u64) -> f64 {
-    let mut inside: Vec<u64> = r
-        .outcomes
-        .iter()
-        .filter_map(|o| o.as_ref().ok())
-        .map(|res| res.sim_completed_ns)
-        .filter(|&t| t >= window_start && t < window_end)
-        .collect();
-    if inside.is_empty() {
-        inside = r
-            .outcomes
-            .iter()
-            .filter_map(|o| o.as_ref().ok())
-            .map(|res| res.sim_completed_ns)
-            .collect();
-    }
-    inside.sort_unstable();
-    let idx = ((inside.len() as f64 * 0.99).ceil() as usize).saturating_sub(1);
-    inside[idx.min(inside.len() - 1)] as f64 / 1e6
-}
-
 /// Scenario 1: device 0 dark for `[OUTAGE_START_NS, OUTAGE_END_NS)`.
 fn single_outage_schedules() -> Vec<FaultSchedule> {
     let mut s = vec![FaultSchedule::none(); DEVICES];
@@ -207,7 +181,6 @@ fn main() {
     let mut table = TablePrinter::new(&[
         "scenario",
         "availability",
-        "p99 in-window ms",
         "retries",
         "failovers",
         "hedges",
@@ -215,27 +188,19 @@ fn main() {
         "probes",
     ]);
 
-    let scenarios: [(&str, Vec<FaultSchedule>, u64, u64); 4] = [
-        (
-            "single-device outage",
-            single_outage_schedules(),
-            OUTAGE_START_NS,
-            OUTAGE_END_NS,
-        ),
-        ("rolling outages", rolling_schedules(), 0, 1_000_000),
-        ("straggler storm", straggler_schedules(), 0, 2_000_000),
-        ("flapping device", flapping_schedules(), 0, 1_280_000),
+    let scenarios: [(&str, Vec<FaultSchedule>); 4] = [
+        ("single-device outage", single_outage_schedules()),
+        ("rolling outages", rolling_schedules()),
+        ("straggler storm", straggler_schedules()),
+        ("flapping device", flapping_schedules()),
     ];
 
     let mut headline_availability = 1.0f64;
-    let mut headline_p99_ms = 0.0f64;
-    for (name, schedules, w0, w1) in scenarios {
+    for (name, schedules) in scenarios {
         let r = run_scenario(schedules, SchedulePolicy::WorkStealing, n_jobs);
-        let p99 = p99_completion_ms(&r, w0, w1);
         table.row(&[
             name.to_string(),
             format!("{:.2}%", r.availability() * 100.0),
-            format!("{p99:.3}"),
             r.report.faults.retries.to_string(),
             r.report.faults.failovers.to_string(),
             format!(
@@ -263,7 +228,6 @@ fn main() {
 
         if name == "single-device outage" {
             headline_availability = r.availability();
-            headline_p99_ms = p99;
             if r.availability() < 0.99 {
                 failures.push(format!(
                     "single-device outage availability {:.2}% below 99%",
@@ -318,7 +282,6 @@ fn main() {
         }
     }
     report.put("faults_availability", headline_availability);
-    report.put("faults_p99_during_outage_ms", headline_p99_ms);
     match report.write_to(path) {
         Ok(()) => println!("merged fault metrics into {}", path.display()),
         Err(e) => eprintln!("failed to write {}: {e}", path.display()),

@@ -25,17 +25,6 @@ pub fn accuracy_multiclass(labels: &[usize], preds: &[usize]) -> f64 {
     correct as f64 / labels.len() as f64
 }
 
-/// `k×k` confusion matrix: `C[true][pred]` counts.
-pub fn confusion_matrix(labels: &[usize], preds: &[usize], k: usize) -> Vec<Vec<usize>> {
-    assert_eq!(labels.len(), preds.len());
-    let mut c = vec![vec![0usize; k]; k];
-    for (&t, &p) in labels.iter().zip(preds.iter()) {
-        assert!(t < k && p < k, "label {t}/{p} out of range {k}");
-        c[t][p] += 1;
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,19 +41,5 @@ mod tests {
         let y = [0, 1, 2, 1];
         let p = [0, 1, 1, 1];
         assert!((accuracy_multiclass(&y, &p) - 0.75).abs() < 1e-15);
-    }
-
-    #[test]
-    fn confusion_counts() {
-        let y = [0, 0, 1, 1, 1];
-        let p = [0, 1, 1, 1, 0];
-        let c = confusion_matrix(&y, &p, 2);
-        assert_eq!(c[0][0], 1);
-        assert_eq!(c[0][1], 1);
-        assert_eq!(c[1][1], 2);
-        assert_eq!(c[1][0], 1);
-        // Row sums = class counts.
-        assert_eq!(c[0].iter().sum::<usize>(), 2);
-        assert_eq!(c[1].iter().sum::<usize>(), 3);
     }
 }

@@ -1,14 +1,16 @@
 //! Deterministic simulated time for the serving layer.
 //!
-//! Latency statistics measured against the wall clock are hostage to the
-//! host: CI runners, thread counts and cache state all move the numbers,
-//! so a p99 regression gate on wall time either flakes or is tuned so
-//! loose it never fires. The server therefore timestamps requests against
-//! a [`SimClock`] that only moves when work is accounted for — each
-//! micro-batch advances it by the [`CostModel`]'s deterministic cost —
+//! The behavioural replays — tenant isolation, availability under
+//! faults, deadline expiry, brownout-ladder recovery — must give the
+//! same answer on every host, so the server timestamps requests against
+//! a [`SimClock`] that only moves when work is accounted for: each
+//! micro-batch advances it by a fixed charge (see `batch_cost_ns`),
 //! exactly the discipline `hpcq`'s device pool already uses for makespan
-//! and utilization. Given the same request stream, the latency histogram
-//! is reproduced bit-for-bit on any machine.
+//! and utilization. Given the same request stream, every simulated
+//! timestamp and latency quantile is reproduced bit-for-bit on any
+//! machine. Simulated time orders events; it is not a throughput
+//! measurement — `perfbench` times the real serving path on the wall
+//! clock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,43 +46,22 @@ impl SimClock {
     }
 }
 
-/// The simulated cost of dispatching one micro-batch.
-///
-/// Three terms mirror where real time goes in the hybrid pipeline: a
-/// fixed per-dispatch overhead (queue handoff, one submission to the
-/// quantum resource — the term micro-batching amortizes), a per-unique-
-/// miss term (one `S(x)|0⟩` simulation plus the fused observable sweep —
-/// the term the feature cache removes), and a small per-row term (cache
-/// lookups and the classical head). Defaults are loosely calibrated to
-/// the measured single-thread kernel numbers; the *ratios* are what the
-/// load-generator experiments exercise, not the absolute scale.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Fixed cost per micro-batch dispatch (ns).
-    pub batch_overhead_ns: u64,
-    /// Cost per unique cache miss: circuit simulation + fused sweep (ns).
-    pub miss_ns: u64,
-    /// Cost per served row: cache lookup + head evaluation (ns).
-    pub row_ns: u64,
-}
+/// Fixed charge per micro-batch dispatch: queue hand-off and one
+/// submission to the quantum resource — the term micro-batching
+/// amortizes.
+const BATCH_OVERHEAD_NS: u64 = 50_000;
+/// Charge per unique cache miss: one `S(x)|0⟩` simulation plus the
+/// observable sweep — the term the feature cache removes.
+const MISS_NS: u64 = 200_000;
+/// Charge per served row: cache lookup and head evaluation.
+const ROW_NS: u64 = 2_000;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            batch_overhead_ns: 50_000, // 50 µs dispatch + submission
-            miss_ns: 200_000,          // 200 µs per state prepared
-            row_ns: 2_000,             // 2 µs per row served
-        }
-    }
-}
-
-impl CostModel {
-    /// Simulated cost of a batch serving `rows` requests of which
-    /// `misses` needed a fresh simulation.
-    pub fn batch_cost_ns(&self, rows: usize, misses: usize) -> u64 {
-        debug_assert!(misses <= rows);
-        self.batch_overhead_ns + self.miss_ns * misses as u64 + self.row_ns * rows as u64
-    }
+/// Simulated cost of a batch serving `rows` requests of which `misses`
+/// needed a fresh simulation. The constants only order events in the
+/// behavioural replays; they are not calibrated to any host.
+pub(crate) fn batch_cost_ns(rows: usize, misses: usize) -> u64 {
+    debug_assert!(misses <= rows);
+    BATCH_OVERHEAD_NS + MISS_NS * misses as u64 + ROW_NS * rows as u64
 }
 
 #[cfg(test)]
@@ -109,11 +90,10 @@ mod tests {
 
     #[test]
     fn batching_and_caching_amortize_cost() {
-        let m = CostModel::default();
         // 16 singleton batches, all misses, vs one batch of 16 with 4
         // misses: the whole point of the serving layer in one inequality.
-        let singles = 16 * m.batch_cost_ns(1, 1);
-        let batched = m.batch_cost_ns(16, 4);
+        let singles = 16 * batch_cost_ns(1, 1);
+        let batched = batch_cost_ns(16, 4);
         assert!(batched < singles / 3);
     }
 }

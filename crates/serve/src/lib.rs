@@ -21,9 +21,11 @@
 //! a versioned [`ModelRegistry`] with atomic hot-swap (deploy v2 while
 //! v1 drains, instant rollback), per-request deadline budgets with
 //! earliest-deadline-first batch formation, and a [`ServerStats`]
-//! snapshot with throughput and p50/p95/p99 latency quantiles measured
-//! on a deterministic simulated clock ([`SimClock`]) — reproducible to
-//! the bit across hosts, which is what lets CI gate on them.
+//! snapshot of counted facts — requests, rejections by cause, batches,
+//! cache and fault counters, per-tenant p50/p99 — with latencies stamped
+//! on a deterministic simulated clock ([`SimClock`]), reproducible to
+//! the bit across hosts, which is what lets CI gate tenant isolation on
+//! them. Wall-clock throughput and latency are measured by `perfbench`.
 //!
 //! The service is **multi-tenant**: requests carry a [`TenantId`], the
 //! [`AdmissionController`] enforces weighted-fair admission behind a
@@ -32,10 +34,9 @@
 //! traffic, global shed only as a last resort) — and batch slots are
 //! dealt weighted round-robin across per-tenant EDF sub-queues, so one
 //! flooding tenant cannot starve the rest. [`loadgen`] drives all of it
-//! with deterministic traffic: a closed-loop Zipf harness, and
-//! open-loop [`ArrivalTrace`] replay (JSONL/CSV files or synthetic
-//! burst / diurnal / flash-crowd [`RateProfile`]s) with windowed
-//! [`Monitor`] time series.
+//! with deterministic traffic: open-loop [`ArrivalTrace`] replay
+//! (JSONL/CSV files or synthetic Zipf-skewed burst / diurnal /
+//! flash-crowd [`RateProfile`]s) with windowed [`Monitor`] time series.
 //!
 //! ```
 //! use pvqnn::features::FeatureBackend;
@@ -76,11 +77,11 @@ pub mod stats;
 
 pub use admission::{AdmissionController, BrownoutLevel, Rejected, TenantId};
 pub use cache::{quantize_key, CacheStats, FeatureCache};
-pub use clock::{CostModel, SimClock};
+pub use clock::SimClock;
 pub use engine::{ComputedRows, EngineError, FeatureEngine};
 pub use loadgen::{
-    demo_catalogue, replay_trace, run_closed_loop, synthesize_trace, ArrivalTrace, LoadGenConfig,
-    LoadReport, RateProfile, ReplayReport, TenantLoad, TraceEvent, TraceParseError, ZipfStream,
+    demo_catalogue, replay_trace, synthesize_trace, ArrivalTrace, RateProfile, ReplayReport,
+    TenantLoad, TraceEvent, TraceParseError,
 };
 pub use model::{Prediction, ServedModel};
 pub use monitor::{Monitor, MonitorSample};

@@ -1,25 +1,20 @@
-//! Deterministic load generation: closed-loop clients and open-loop
-//! trace replay.
+//! Deterministic load generation: open-loop trace replay.
 //!
-//! The serving benchmarks need traffic that is (a) *skewed* — real
-//! request streams concentrate on popular inputs, which is what makes a
-//! feature cache pay — and (b) *reproducible* — the CI gate diffs
-//! throughput and p99 against a committed baseline, so the stream must
-//! be a pure function of its seed. This module provides both: a seeded
-//! Zipf sampler over a fixed catalogue of data points, and a closed-loop
-//! harness (`clients` outstanding requests, each replaced on
-//! completion) that drives a [`Server`] single-threadedly with
+//! The behavioural serving checks need traffic that is (a) *skewed* —
+//! real request streams concentrate on popular inputs, which is what
+//! makes a feature cache pay — and (b) *reproducible* — the isolation
+//! and recovery checks compare replays, so the stream must be a pure
+//! function of its seed. Overload is an *open-loop* phenomenon, so this
+//! module replays an [`ArrivalTrace`] (loaded from JSONL/CSV or
+//! synthesized from [`RateProfile`]s — constant, burst, diurnal,
+//! flash-crowd — with Zipf-skewed draws from a fixed catalogue of data
+//! points) against a [`Server`] on [`SimClock`] time: arrivals happen at
+//! their trace timestamps whether or not the server is keeping up, which
+//! is what drives the admission ladder through its rungs reproducibly.
+//! The replay drives the server single-threadedly with
 //! [`Server::step`], so batch formation — and therefore every simulated
-//! timestamp — is deterministic.
-//!
-//! Overload, however, is an *open-loop* phenomenon — a closed loop
-//! self-throttles exactly when the interesting behavior starts. The
-//! trace half of this module replays an [`ArrivalTrace`] (loaded from
-//! JSONL/CSV or synthesized from [`RateProfile`]s: constant, burst,
-//! diurnal, flash-crowd) against the server on [`SimClock`] time:
-//! arrivals happen at their trace timestamps whether or not the server
-//! is keeping up, which is what drives the admission ladder through its
-//! rungs reproducibly.
+//! timestamp — is deterministic. Wall-clock throughput is measured by
+//! `perfbench`, not here.
 //!
 //! ```
 //! use pvqnn::features::FeatureBackend;
@@ -59,52 +54,12 @@ use crate::stats::ServerStats;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// A seeded Zipf(s) sampler over a catalogue of data points: rank `k`
-/// (0-based popularity order) has probability ∝ `1/(k+1)^s`.
-pub struct ZipfStream<'a> {
-    points: &'a [Vec<f64>],
-    cdf: Vec<f64>,
-    rng: StdRng,
-}
-
-impl<'a> ZipfStream<'a> {
-    /// A stream over `points` with exponent `s` (0 = uniform) and seed.
-    pub fn new(points: &'a [Vec<f64>], s: f64, seed: u64) -> Self {
-        assert!(!points.is_empty(), "need at least one data point");
-        let mut cdf: Vec<f64> = Vec::with_capacity(points.len());
-        let mut acc = 0.0;
-        for k in 0..points.len() {
-            acc += 1.0 / ((k + 1) as f64).powf(s);
-            cdf.push(acc);
-        }
-        let norm = acc;
-        for c in cdf.iter_mut() {
-            *c /= norm;
-        }
-        if let Some(last) = cdf.last_mut() {
-            *last = 1.0;
-        }
-        ZipfStream {
-            points,
-            cdf,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The next sampled data point.
-    pub fn next_point(&mut self) -> &'a Vec<f64> {
-        let u: f64 = self.rng.random();
-        let idx = self.cdf.partition_point(|&c| c < u);
-        &self.points[idx.min(self.points.len() - 1)]
-    }
-}
-
 /// A deterministic catalogue of `n ≤ 257` pairwise-distinct
 /// 16-coordinate (4-qubit) demo data points in `[0.2, 5.7)`, spaced ≥
 /// ~0.02 apart per coordinate so the default cache quantization can
 /// never merge two — the shared workload for the serving tests,
-/// example, and load-generation experiment (one definition, so they
-/// can never silently diverge in the traffic they exercise).
+/// examples, and serving experiment (one definition, so they can never
+/// silently diverge in the traffic they exercise).
 pub fn demo_catalogue(n: usize) -> Vec<Vec<f64>> {
     // 31 and 257 are coprime, so for any fixed j the first coordinate
     // walks all 257 residues before repeating: points are distinct for
@@ -117,103 +72,6 @@ pub fn demo_catalogue(n: usize) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
-}
-
-/// Closed-loop harness parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct LoadGenConfig {
-    /// Concurrent clients (outstanding requests).
-    pub clients: usize,
-    /// Total requests to issue across all clients.
-    pub total_requests: usize,
-    /// Zipf exponent of the request stream (0 = uniform).
-    pub zipf_s: f64,
-    /// Stream seed.
-    pub seed: u64,
-}
-
-impl Default for LoadGenConfig {
-    fn default() -> Self {
-        LoadGenConfig {
-            clients: 8,
-            total_requests: 2000,
-            zipf_s: 1.1,
-            seed: 42,
-        }
-    }
-}
-
-/// What a load-generation run measured (all times simulated).
-#[derive(Clone, Debug)]
-pub struct LoadReport {
-    /// Requests answered with a prediction.
-    pub completed: u64,
-    /// Requests rejected at admission or on deadline.
-    pub rejected: u64,
-    /// Completed rows per simulated second over the run window.
-    pub rows_per_s: f64,
-    /// Cache hit rate over the run (from server counters).
-    pub cache_hit_rate: f64,
-    /// Full server stats snapshot at the end of the run.
-    pub stats: ServerStats,
-}
-
-/// Drives `server` with a closed loop of `cfg.clients` clients sampling
-/// `points` Zipf-skewed. Single-threaded and deterministic: each round
-/// tops every idle client up with a submission, serves one micro-batch,
-/// and collects completions. The server must have a model deployed.
-pub fn run_closed_loop(server: &Server, points: &[Vec<f64>], cfg: &LoadGenConfig) -> LoadReport {
-    assert!(cfg.clients > 0, "need at least one client");
-    let mut stream = ZipfStream::new(points, cfg.zipf_s, cfg.seed);
-    let mut outstanding: Vec<Option<ResponseHandle>> = (0..cfg.clients).map(|_| None).collect();
-    let start_completed = server.stats().completed;
-    let start_ns = server.clock().now_ns();
-    let mut issued = 0usize;
-    let mut completed = 0u64;
-    let mut rejected = 0u64;
-    loop {
-        let mut any_outstanding = false;
-        for slot in outstanding.iter_mut() {
-            if slot.is_none() && issued < cfg.total_requests {
-                issued += 1;
-                match server.submit(stream.next_point().clone()) {
-                    Ok(handle) => *slot = Some(handle),
-                    Err(_) => rejected += 1,
-                }
-            }
-            any_outstanding |= slot.is_some();
-        }
-        if !any_outstanding && issued >= cfg.total_requests {
-            break;
-        }
-        server.step();
-        for slot in outstanding.iter_mut() {
-            if let Some(handle) = slot {
-                if let Some(result) = handle.try_take() {
-                    *slot = None;
-                    match result {
-                        Ok(_) => completed += 1,
-                        Err(_) => rejected += 1,
-                    }
-                }
-            }
-        }
-    }
-    let stats = server.stats();
-    let elapsed_s = server.clock().now_ns().saturating_sub(start_ns) as f64 / 1e9;
-    let window_completed = stats.completed - start_completed;
-    debug_assert_eq!(window_completed, completed);
-    LoadReport {
-        completed,
-        rejected,
-        rows_per_s: if elapsed_s > 0.0 {
-            completed as f64 / elapsed_s
-        } else {
-            0.0
-        },
-        cache_hit_rate: stats.cache.hit_rate(),
-        stats,
-    }
 }
 
 /// One arrival in a workload trace. `point` indexes the catalogue the
@@ -680,8 +538,6 @@ pub struct ReplayReport {
     pub shed: u64,
     /// Admitted requests that died at dispatch (deadline, backend).
     pub dropped: u64,
-    /// Completed rows per simulated second over the replay window.
-    pub goodput_rows_per_s: f64,
     /// Served predictions that were not bit-for-bit identical to the
     /// expected per-point reference (0 unless batching broke the
     /// invisibility contract).
@@ -778,17 +634,11 @@ pub fn replay_trace(
     );
     let stats = server.stats();
     debug_assert_eq!(stats.completed - start_completed, completed);
-    let elapsed_s = server.clock().now_ns().saturating_sub(start_ns) as f64 / 1e9;
     ReplayReport {
         offered,
         completed,
         shed,
         dropped,
-        goodput_rows_per_s: if elapsed_s > 0.0 {
-            completed as f64 / elapsed_s
-        } else {
-            0.0
-        },
         mismatches,
         samples: monitor.into_samples(),
         stats,
@@ -799,35 +649,42 @@ pub fn replay_trace(
 mod tests {
     use super::*;
 
+    /// A single constant-rate tenant drawing from `catalogue_len`
+    /// points with Zipf exponent `zipf_s`; ~2000 arrivals.
+    fn points_drawn(zipf_s: f64, catalogue_len: usize, seed: u64) -> Vec<usize> {
+        let load = TenantLoad {
+            tenant: TenantId(1),
+            profile: RateProfile::Constant {
+                rate_per_s: 20_000.0,
+            },
+            zipf_s,
+            deadline_ns: None,
+        };
+        synthesize_trace(&[load], 100_000_000, catalogue_len, seed)
+            .events()
+            .iter()
+            .map(|e| e.point)
+            .collect()
+    }
+
     #[test]
     fn zipf_is_deterministic_and_skewed() {
-        let points = demo_catalogue(16);
-        let draw = |seed| {
-            let mut s = ZipfStream::new(&points, 1.2, seed);
-            (0..500)
-                .map(|_| s.next_point()[0].to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(draw(7), draw(7), "same seed, same stream");
-        assert_ne!(draw(7), draw(8), "different seed, different stream");
-        // Skew: the most popular point dominates a uniform share.
-        let mut s = ZipfStream::new(&points, 1.2, 3);
-        let head = points[0][0].to_bits();
-        let hits = (0..2000)
-            .filter(|_| s.next_point()[0].to_bits() == head)
-            .count();
-        assert!(hits > 2000 / 16 * 2, "rank-0 hits {hits} not skewed");
+        assert_eq!(points_drawn(1.2, 16, 7), points_drawn(1.2, 16, 7));
+        assert_ne!(points_drawn(1.2, 16, 7), points_drawn(1.2, 16, 8));
+        // Skew: the most popular point draws well above a uniform share.
+        let drawn = points_drawn(1.2, 16, 3);
+        let head = drawn.iter().filter(|&&p| p == 0).count();
+        assert!(
+            head > drawn.len() / 16 * 2,
+            "rank-0 draws {head} of {} not skewed",
+            drawn.len()
+        );
     }
 
     #[test]
     fn uniform_exponent_covers_catalogue() {
-        let points = demo_catalogue(8);
-        let mut s = ZipfStream::new(&points, 0.0, 11);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..400 {
-            seen.insert(s.next_point()[0].to_bits());
-        }
-        assert_eq!(seen.len(), 8, "uniform stream should touch every point");
+        let seen: std::collections::HashSet<usize> = points_drawn(0.0, 8, 11).into_iter().collect();
+        assert_eq!(seen.len(), 8, "uniform draws should touch every point");
     }
 
     #[test]

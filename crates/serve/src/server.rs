@@ -33,7 +33,7 @@
 //! so a prediction is bit-for-bit what a lone `predict` call on the same
 //! model would return, for any batch composition, tenant mix, cache
 //! state, or thread count. Only *when* a response arrives depends on
-//! load — and that is measured on the deterministic [`SimClock`].
+//! load — and that is stamped on the deterministic [`SimClock`].
 //!
 //! ```
 //! use pvqnn::features::FeatureBackend;
@@ -64,12 +64,11 @@
 
 use crate::admission::{AdmissionController, BrownoutLevel, Rejected, TenantId};
 use crate::cache::FeatureCache;
-use crate::clock::SimClock;
+use crate::clock::{batch_cost_ns, SimClock};
 use crate::engine::FeatureEngine;
 use crate::model::{Prediction, ServedModel};
 use crate::registry::{ModelRegistry, ModelVersion};
 use crate::stats::{LatencyHistogram, ServerStats, TenantSnapshot};
-use crate::CostModel;
 use linalg::Mat;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -111,8 +110,6 @@ pub struct ServerConfig {
     /// the affected requests with [`Rejected::BackendUnavailable`]
     /// (`false`). Cache hits are served either way.
     pub degraded_local_fallback: bool,
-    /// Simulated batch cost model.
-    pub cost: CostModel,
 }
 
 impl Default for ServerConfig {
@@ -125,7 +122,6 @@ impl Default for ServerConfig {
             quant_scale: 1e8,
             default_deadline_ns: 50_000_000, // 50 simulated ms
             degraded_local_fallback: true,
-            cost: CostModel::default(),
         }
     }
 }
@@ -266,7 +262,6 @@ struct Counters {
     degraded_batches: u64,
     /// Pool failure/recovery counters accumulated across batches.
     faults: hpcq::FaultStats,
-    hist: LatencyHistogram,
     tenants: BTreeMap<TenantId, TenantCounters>,
 }
 
@@ -335,7 +330,7 @@ impl Server {
         self.registry.deploy(model)
     }
 
-    /// The simulated clock (tests and load generators advance it).
+    /// The simulated clock (tests and trace replay advance it).
     pub fn clock(&self) -> &SimClock {
         &self.clock
     }
@@ -796,7 +791,7 @@ impl Server {
         // Account simulated time once per batch, then respond.
         let done = self
             .clock
-            .advance_ns(self.config.cost.batch_cost_ns(survivors.len(), misses));
+            .advance_ns(batch_cost_ns(survivors.len(), misses));
         let served = survivors.len();
         let mut stats = self.stats.lock().expect("server lock poisoned");
         stats.batches += 1;
@@ -805,7 +800,6 @@ impl Server {
         stats.unique_simulations += misses as u64;
         for ((p, cache_hit), prediction) in survivors.into_iter().zip(predictions) {
             let latency_ns = done.saturating_sub(p.arrival_ns);
-            stats.hist.record(latency_ns);
             let t = stats.tenant(p.tenant);
             t.completed += 1;
             t.hist.record(latency_ns);
@@ -827,9 +821,6 @@ impl Server {
     pub fn stats(&self) -> ServerStats {
         let cache = self.cache.lock().expect("server lock poisoned").stats();
         let stats = self.stats.lock().expect("server lock poisoned");
-        // The clock is the server's own and starts at zero.
-        let sim_elapsed_ns = self.clock.now_ns();
-        let sim_elapsed_s = sim_elapsed_ns as f64 / 1e9;
         let per_tenant = stats
             .tenants
             .iter()
@@ -841,7 +832,6 @@ impl Server {
                 shed: t.shed,
                 dropped: t.dropped,
                 cache_hits: t.cache_hits,
-                mean_latency_ms: t.hist.mean_ns() / 1e6,
                 p50_ms: t.hist.quantile_ns(0.50) / 1e6,
                 p99_ms: t.hist.quantile_ns(0.99) / 1e6,
             })
@@ -860,23 +850,9 @@ impl Server {
             batch_rows: stats.batch_rows,
             unique_simulations: stats.unique_simulations,
             degraded_batches: stats.degraded_batches,
-            pool_retries: stats.faults.retries,
-            pool_failovers: stats.faults.failovers,
-            hedges_launched: stats.faults.hedges_launched,
-            hedges_won: stats.faults.hedges_won,
-            breaker_trips: stats.faults.breaker_trips,
+            faults: stats.faults,
             cache,
             per_tenant,
-            sim_elapsed_ns,
-            throughput_rows_per_s: if sim_elapsed_s > 0.0 {
-                stats.completed as f64 / sim_elapsed_s
-            } else {
-                0.0
-            },
-            mean_latency_ms: stats.hist.mean_ns() / 1e6,
-            p50_ms: stats.hist.quantile_ns(0.50) / 1e6,
-            p95_ms: stats.hist.quantile_ns(0.95) / 1e6,
-            p99_ms: stats.hist.quantile_ns(0.99) / 1e6,
         }
     }
 

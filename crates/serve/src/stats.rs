@@ -1,12 +1,14 @@
-//! Server observability: latency histograms and the stats snapshot.
+//! Server observability: per-tenant latency histograms and the stats
+//! snapshot.
 //!
-//! Latencies are recorded in simulated nanoseconds (see
-//! [`crate::clock::SimClock`]) into a geometric histogram — fixed
-//! memory, O(1) record, and quantiles accurate to one bucket width
-//! (~19%, four buckets per octave). That resolution is deliberate: the
-//! serving experiments gate on p99 *regressions of 25%+*, so the bucket
-//! grid is finer than the gate and the whole pipeline stays exactly
-//! reproducible across hosts.
+//! Everything here is a counted fact: requests, rejections by cause,
+//! batches, cache and fault counters, and per-tenant latencies recorded
+//! in simulated nanoseconds (see [`crate::clock::SimClock`]) into a
+//! geometric histogram — fixed memory, O(1) record, and quantiles
+//! accurate to one bucket width (~19%, four buckets per octave). The
+//! tenant-isolation gate compares two such p99s, so the bucket grid is
+//! finer than its 2× ceiling and the replay stays exactly reproducible
+//! across hosts. Wall-clock throughput and latency are `perfbench`'s.
 
 use crate::cache::CacheStats;
 
@@ -22,7 +24,6 @@ const BASE_NS: f64 = 1_000.0;
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,
-    sum_ns: u128,
     max_ns: u64,
 }
 
@@ -38,7 +39,6 @@ impl LatencyHistogram {
         LatencyHistogram {
             counts: vec![0; NUM_BUCKETS],
             total: 0,
-            sum_ns: 0,
             max_ns: 0,
         }
     }
@@ -61,22 +61,12 @@ impl LatencyHistogram {
     pub fn record(&mut self, ns: u64) {
         self.counts[Self::bucket_of(ns)] += 1;
         self.total += 1;
-        self.sum_ns += ns as u128;
         self.max_ns = self.max_ns.max(ns);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.total
-    }
-
-    /// Mean latency (ns); 0 when empty.
-    pub fn mean_ns(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.total as f64
-        }
     }
 
     /// The `q`-quantile latency in nanoseconds (bucket upper edge,
@@ -121,8 +111,6 @@ pub struct TenantSnapshot {
     pub dropped: u64,
     /// Completions whose feature row came from the cache.
     pub cache_hits: u64,
-    /// Mean response latency (simulated ms).
-    pub mean_latency_ms: f64,
     /// p50 response latency (simulated ms).
     pub p50_ms: f64,
     /// p99 response latency (simulated ms).
@@ -176,45 +164,18 @@ pub struct ServerStats {
     /// Micro-batches served through a lower rung of the degradation
     /// ladder (pool failed → local fallback computed the rows).
     pub degraded_batches: u64,
-    /// Failed pool submissions that were retried (backend pool).
-    pub pool_retries: u64,
-    /// Jobs the pool moved to a different device after local failures.
-    pub pool_failovers: u64,
-    /// Hedge replicas the pool launched against stragglers.
-    pub hedges_launched: u64,
-    /// Hedges that beat their primary.
-    pub hedges_won: u64,
-    /// Per-device circuit-breaker trips into quarantine.
-    pub breaker_trips: u64,
+    /// Pool failure/recovery counters (retries, failovers, hedges,
+    /// breaker trips, probes) accumulated across batches; all zero on
+    /// the local engine.
+    pub faults: hpcq::FaultStats,
     /// Feature-cache counters.
     pub cache: CacheStats,
     /// Per-tenant accounting rows, ordered by tenant id. Empty until
     /// the first tenant-attributed event.
     pub per_tenant: Vec<TenantSnapshot>,
-    /// Simulated time elapsed since server construction (ns).
-    pub sim_elapsed_ns: u64,
-    /// Completed rows per simulated second.
-    pub throughput_rows_per_s: f64,
-    /// Mean response latency (simulated ms).
-    pub mean_latency_ms: f64,
-    /// p50 response latency (simulated ms).
-    pub p50_ms: f64,
-    /// p95 response latency (simulated ms).
-    pub p95_ms: f64,
-    /// p99 response latency (simulated ms).
-    pub p99_ms: f64,
 }
 
 impl ServerStats {
-    /// Mean rows per dispatched micro-batch.
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batch_rows as f64 / self.batches as f64
-        }
-    }
-
     /// Total rejections of any kind.
     pub fn rejected_total(&self) -> u64 {
         self.rejected_queue_full
@@ -231,19 +192,13 @@ impl ServerStats {
         self.per_tenant.iter().find(|t| t.tenant == tenant)
     }
 
-    /// Whether any fault-recovery machinery activated: retries,
-    /// failovers, hedges, breaker trips, degraded batches, or
-    /// backend sheds. The healthy-path benchmarks assert this is
-    /// `false` to guard against accidental fault-path activation.
+    /// Whether any fault-recovery machinery activated: a nonzero pool
+    /// fault counter, a degraded batch, or a backend shed. The
+    /// healthy-path checks assert this is `false` to guard against
+    /// accidental fault-path activation.
     pub fn any_fault_activity(&self) -> bool {
-        self.pool_retries
-            + self.pool_failovers
-            + self.hedges_launched
-            + self.hedges_won
-            + self.breaker_trips
-            + self.degraded_batches
-            + self.rejected_backend
-            > 0
+        self.faults != hpcq::FaultStats::default()
+            || self.degraded_batches + self.rejected_backend > 0
     }
 }
 
@@ -256,7 +211,6 @@ mod tests {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile_ns(0.99), 0.0);
-        assert_eq!(h.mean_ns(), 0.0);
     }
 
     #[test]
@@ -273,8 +227,6 @@ mod tests {
         assert!((1.0..=1.2).contains(&(p50 / 1_000_000.0)), "p50 {p50}");
         assert!((1.0..=1.2).contains(&(p99 / 1_000_000.0)), "p99 {p99}");
         assert!(p999 >= 99_000_000.0, "p999 must see the outlier: {p999}");
-        let mean = h.mean_ns();
-        assert!((mean - (99.0 * 1e6 + 1e8) / 100.0).abs() < 1.0);
     }
 
     #[test]

@@ -279,12 +279,21 @@ fn trace_replay_is_deterministic_and_bitwise_faithful() {
     );
     assert!(a.completed > 0);
     assert!(!a.samples.is_empty(), "monitor produced a time series");
-    assert!(a.goodput_rows_per_s > 0.0);
+    assert!(a.stats.cache.hits > 0, "Zipf draws must hit the cache");
     let b = run();
     assert_eq!(a.completed, b.completed, "replay is deterministic");
     assert_eq!(a.shed, b.shed);
     assert_eq!(a.dropped, b.dropped);
     assert_eq!(a.samples.len(), b.samples.len());
+    assert_eq!(a.stats.cache.hits, b.stats.cache.hits);
+    let p99_bits = |r: &serve::ReplayReport| -> Vec<(TenantId, u64)> {
+        r.stats
+            .per_tenant
+            .iter()
+            .map(|t| (t.tenant, t.p99_ms.to_bits()))
+            .collect()
+    };
+    assert_eq!(p99_bits(&a), p99_bits(&b), "per-tenant p99 reproduces");
 }
 
 /// The composed chaos scenario at test scale: a tenant flood *while*

@@ -8,10 +8,7 @@
 use pvqnn::features::FeatureBackend;
 use pvqnn::model::RegressorMode;
 use pvqnn::{FeatureGenerator, PostVarClassifier, PostVarRegressor, Strategy};
-use serve::{
-    run_closed_loop, spawn_worker, FeatureEngine, LoadGenConfig, Prediction, Rejected, Server,
-    ServerConfig, TenantId,
-};
+use serve::{spawn_worker, FeatureEngine, Prediction, Rejected, Server, ServerConfig, TenantId};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -759,57 +756,6 @@ fn worker_thread_hot_swaps_under_concurrent_clients() {
         assert_eq!(t.admitted, t.completed + t.dropped, "tenant {}", t.tenant);
         assert_eq!((t.admitted, t.completed, t.shed), seen[&t.tenant]);
     }
-}
-
-/// The closed-loop load generator over a Zipf stream: deterministic,
-/// cache-effective, and faster (in simulated time) than the unbatched,
-/// uncached single-request baseline — the exp_serving experiment's
-/// acceptance inequality, pinned here as a test.
-#[test]
-fn closed_loop_zipf_beats_single_request_baseline() {
-    let points = catalogue(24);
-    let cfg = LoadGenConfig {
-        clients: 6,
-        total_requests: 300,
-        zipf_s: 1.1,
-        seed: 9,
-    };
-    let batched_server = Server::new(ServerConfig::default());
-    batched_server.deploy(regressor(FeatureBackend::Exact));
-    let batched = run_closed_loop(&batched_server, &points, &cfg);
-
-    let single_server = Server::new(ServerConfig {
-        max_batch: 1,
-        cache_capacity: 0,
-        ..Default::default()
-    });
-    single_server.deploy(regressor(FeatureBackend::Exact));
-    let single = run_closed_loop(
-        &single_server,
-        &points,
-        &LoadGenConfig { clients: 1, ..cfg },
-    );
-
-    assert_eq!(batched.completed, 300);
-    assert_eq!(single.completed, 300);
-    assert!(
-        batched.cache_hit_rate > 0.5,
-        "Zipf stream must hit the cache"
-    );
-    assert!(
-        batched.rows_per_s > single.rows_per_s,
-        "micro-batching + caching must beat the single-request baseline \
-         ({:.0} vs {:.0} rows/s)",
-        batched.rows_per_s,
-        single.rows_per_s
-    );
-    // Determinism: the same run reproduces every simulated metric.
-    let again_server = Server::new(ServerConfig::default());
-    again_server.deploy(regressor(FeatureBackend::Exact));
-    let again = run_closed_loop(&again_server, &points, &cfg);
-    assert_eq!(again.rows_per_s.to_bits(), batched.rows_per_s.to_bits());
-    assert_eq!(again.stats.p99_ms.to_bits(), batched.stats.p99_ms.to_bits());
-    assert_eq!(again.stats.cache.hits, batched.stats.cache.hits);
 }
 
 /// The QPU-pool engine serves the same exact-backend predictions as the

@@ -8,7 +8,8 @@
 use pvqnn::features::FeatureBackend;
 use pvqnn::{FeatureGenerator, PostVarClassifier, Strategy};
 use serve::{
-    demo_catalogue as catalogue, run_closed_loop, LoadGenConfig, Rejected, Server, ServerConfig,
+    demo_catalogue as catalogue, replay_trace, synthesize_trace, RateProfile, Rejected, Server,
+    ServerConfig, TenantId, TenantLoad,
 };
 
 fn train(epochs: usize) -> PostVarClassifier {
@@ -35,29 +36,29 @@ fn main() {
     let v1 = server.deploy(train(40));
     println!("deployed model {v1} (at most 40 full-batch evaluations)");
 
-    // Phase 1: Zipf-skewed closed-loop traffic against v1.
+    // Phase 1: Zipf-skewed traffic against v1, replayed open-loop
+    // (~600 arrivals over 30 simulated ms).
     let points = catalogue(32);
-    let report = run_closed_loop(
-        &server,
-        &points,
-        &LoadGenConfig {
-            clients: 6,
-            total_requests: 600,
-            zipf_s: 1.2,
-            seed: 7,
+    let load = TenantLoad {
+        tenant: TenantId::DEFAULT,
+        profile: RateProfile::Constant {
+            rate_per_s: 20_000.0,
         },
-    );
+        zipf_s: 1.2,
+        deadline_ns: None,
+    };
+    let trace = synthesize_trace(&[load], 30_000_000, points.len(), 7);
+    let report = replay_trace(&server, &points, &trace, 10_000_000, None);
     let stats = &report.stats;
     println!(
-        "served {} requests: {:.0} rows/s (simulated), p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms",
-        report.completed, report.rows_per_s, stats.p50_ms, stats.p95_ms, stats.p99_ms
+        "served {} of {} requests in {} micro-batches",
+        report.completed, report.offered, stats.batches
     );
     println!(
-        "feature cache: {:.0}% hits — {} unique simulations covered {} rows (mean batch {:.1})\n",
-        report.cache_hit_rate * 100.0,
+        "feature cache: {:.0}% hits — {} unique simulations covered {} rows\n",
+        stats.cache.hit_rate() * 100.0,
         stats.unique_simulations,
-        stats.completed,
-        stats.mean_batch_size()
+        stats.completed
     );
 
     // Phase 2: hot-swap a retrained model; in-flight work drains on v1,
