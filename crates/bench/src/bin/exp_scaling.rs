@@ -100,8 +100,9 @@ fn heavy_jobs(count: usize) -> Vec<CircuitJob> {
 /// Measures the single-node kernel metrics and writes `BENCH_scaling.json`.
 ///
 /// Gated same-run ratios: fused ÷ unfused gate apply, fused ÷ per-term
-/// expectation, encoding-state reuse ÷ re-simulation per shift, and
-/// batched-SoA ÷ pointwise encode (the last two single-thread).
+/// expectation, exact transfer rows ÷ state-vector re-simulation per
+/// shift, and batched-SoA ÷ pointwise encode (the last two
+/// single-thread).
 /// Informational: gate-apply ns/amplitude (raw and fused), encode
 /// states/s, feature rows/s (exact and batched finite-shot backends),
 /// shadow estimates/s, the thread-pool scaling factor on a large gate
@@ -183,10 +184,11 @@ fn kernel_metrics() -> ScalingReport {
     report.put("expectation_many_speedup", fused_speedup);
     report.put("expectation_many_observables", fam.len() as f64);
 
-    // Feature generation throughput (hybrid 1-order + 1-local, exact), and
-    // the encoding-state-reuse win over re-simulating S(x) per shift —
-    // both pinned to one thread so the ratio isolates the reuse.
-    let data = feature_data(16);
+    // Exact feature throughput (hybrid 1-order + 1-local) over the 400
+    // rows a Table III training set has, and the transfer kernel's win
+    // over naive state-vector re-simulation of every (row, shift)
+    // circuit — the ratio pinned to one thread so it isolates the kernels.
+    let data = feature_data(400);
     let generator = FeatureGenerator::new(
         Strategy::hybrid(fig8_ansatz(4), 1, 1),
         FeatureBackend::Exact,
@@ -200,8 +202,10 @@ fn kernel_metrics() -> ScalingReport {
     })
     .speedup;
     let rows_per_s = data.len() as f64 / time_secs(3, || generator.generate(&data));
-    println!("feature rows:        {rows_per_s:>9.1} rows/s (hybrid 1o+1l, exact)");
-    println!("encoding reuse:      {reuse_speedup:>9.2}x vs re-simulating per shift (1 thread)");
+    println!("feature rows:        {rows_per_s:>9.1} rows/s (hybrid 1o+1l, exact, 400 rows)");
+    println!(
+        "transfer rows:       {reuse_speedup:>9.2}x vs state-vector re-simulation per shift (1 thread)"
+    );
     report.put("features_rows_per_s", rows_per_s);
     report.put("feature_reuse_speedup", reuse_speedup);
 
@@ -215,7 +219,9 @@ fn kernel_metrics() -> ScalingReport {
             seed: 7,
         },
     );
-    let shot_rows_per_s = data.len() as f64 / time_secs(3, || shot_generator.generate(&data));
+    let shot_data = feature_data(16);
+    let shot_rows_per_s =
+        shot_data.len() as f64 / time_secs(3, || shot_generator.generate(&shot_data));
     println!("feature rows (shots): {shot_rows_per_s:>8.1} rows/s (128 shots, batched sampling)");
     report.put("features_shots_rows_per_s", shot_rows_per_s);
 

@@ -17,6 +17,7 @@ use pvqnn::ansatz::fig8_ansatz;
 use pvqnn::features::{FeatureBackend, FeatureGenerator};
 use pvqnn::model::PostVarClassifier;
 use pvqnn::strategy::Strategy;
+use pvqnn::transfer::TransferPlan;
 use pvqnn::variational::{VariationalClassifier, VariationalConfig};
 use std::time::Instant;
 
@@ -33,6 +34,7 @@ fn fmt_row(name: &str, tr_loss: f64, tr_acc: f64, te_loss: f64, te_acc: f64) -> 
 fn pv_row(name: &str, strategy: Strategy, task: &bench::BinaryTask, table: &mut TablePrinter) {
     let t0 = Instant::now();
     let m = strategy.num_neurons();
+    let rank = TransferPlan::new(&strategy).rank();
     let generator = FeatureGenerator::new(strategy, FeatureBackend::Exact);
     let model = PostVarClassifier::fit(
         generator,
@@ -44,7 +46,7 @@ fn pv_row(name: &str, strategy: Strategy, task: &bench::BinaryTask, table: &mut 
     let (te_loss, te_acc) = model.evaluate(&task.test_x, &task.test_y);
     table.row(&fmt_row(name, tr_loss, tr_acc, te_loss, te_acc));
     eprintln!(
-        "  {name}: m = {m} features, {:.1}s",
+        "  {name}: m = {m} features, transfer rank {rank}, {:.1}s",
         t0.elapsed().as_secs_f64()
     );
 }

@@ -32,8 +32,8 @@
 //! | `thread_pool_speedup` | multi-thread ÷ single-thread kernel throughput (floor-asserted on ≥4-core runners) |
 //! | `expectation_many_speedup` | per-term loop ÷ fused multi-observable sweep time (gated ↑) |
 //! | `expectation_many_observables` | observable count in that comparison |
-//! | `features_rows_per_s` | exact-backend feature rows per second (informational) |
-//! | `feature_reuse_speedup` | naive re-simulation per shift ÷ encoding-state reuse time (gated ↑) |
+//! | `features_rows_per_s` | exact-backend feature rows per second over 400 rows (informational) |
+//! | `feature_reuse_speedup` | state-vector re-simulation per (row, shift) ÷ exact transfer-kernel rows (gated ↑) |
 //! | `features_shots_rows_per_s` | finite-shot backend feature rows per second (informational) |
 //! | `encode_batched_speedup` | pointwise ÷ batched SoA encode time, 1 thread (gated ↑) |
 //! | `encode_pointwise_rows_per_s` | one-point-at-a-time encoding throughput (informational) |

@@ -9,8 +9,13 @@
 //! per-qubit gate sequence over rows is `RZ(x₀c) RX(x₁c) RZ(x₂c) RX(x₃c)`.
 //! The leading RZ on `|0⟩` only contributes a phase, exactly as in the
 //! paper's figure; the information still enters through the following RX
-//! layers. [`encoding_with_h_prefix`] offers the variant with a Hadamard
-//! wall in front, which makes the first RZ informative too.
+//! layers.
+//!
+//! The encoding is **single-qubit only**: no gate couples two qubits, so
+//! `S(x)|0ⁿ⟩` is a product state. The exact feature backend relies on
+//! this — [`crate::transfer`] evaluates every neuron from per-qubit Bloch
+//! vectors — so an entangling encoding (data re-uploading with CNOTs
+//! between uploads, say) would need the state-vector path instead.
 
 use qsim::{identity2, matmul2, BatchedStateVector, Circuit, Gate, Mat2, StateVector};
 
@@ -47,17 +52,6 @@ pub fn column_encoding(features: &[f64], n: usize) -> Circuit {
 pub fn fig7_encoding(features: &[f64]) -> Circuit {
     assert_eq!(features.len(), 16, "Fig. 7 encodes 4×4 = 16 features");
     column_encoding(features, 4)
-}
-
-/// Variant with a Hadamard on every qubit **before** the alternating
-/// rotations, which makes the leading RZ row informative from `|0⟩`.
-pub fn encoding_with_h_prefix(features: &[f64], n: usize) -> Circuit {
-    let mut c = Circuit::new(n);
-    for q in 0..n {
-        c.push(Gate::H(q));
-    }
-    c.extend(&column_encoding(features, n));
-    c
 }
 
 /// The fused execution plan for [`column_encoding`]: since every gate of
@@ -153,30 +147,6 @@ impl EncodingPlan {
     }
 }
 
-/// A data re-uploading encoding (§III.B, citing Pérez-Salinas et al. \[47\]):
-/// `layers` repetitions of (column encoding → ring of CNOTs). The paper
-/// notes such models map exactly onto the simple construction with more
-/// qubits \[48\]; here we provide them directly so re-uploading ansätze can
-/// be used as the `S(x)` of any post-variational strategy.
-pub fn reuploading_encoding(features: &[f64], n: usize, layers: usize) -> Circuit {
-    assert!(layers >= 1);
-    let mut c = Circuit::new(n);
-    for layer in 0..layers {
-        c.extend(&column_encoding(features, n));
-        // Entangle between uploads (no entangler after the last upload —
-        // measurement bases handle that).
-        if layer + 1 < layers && n >= 2 {
-            for q in 0..n {
-                c.push(Gate::Cnot {
-                    control: q,
-                    target: (q + 1) % n,
-                });
-            }
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,19 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn h_prefix_makes_first_rz_informative() {
-        let mut a = vec![0.5; 16];
-        let mut b = vec![0.5; 16];
-        for q in 0..4 {
-            a[q] = 0.1;
-            b[q] = 2.1;
-        }
-        let sa = StateVector::from_circuit(&encoding_with_h_prefix(&a, 4));
-        let sb = StateVector::from_circuit(&encoding_with_h_prefix(&b, 4));
-        assert!(sa.fidelity(&sb) < 1.0 - 1e-4);
-    }
-
-    #[test]
     fn general_shapes() {
         let c = column_encoding(&[0.1; 12], 6); // 2 rows × 6 qubits
         assert_eq!(c.num_qubits(), 6);
@@ -253,36 +210,6 @@ mod tests {
     #[should_panic]
     fn wrong_feature_count_panics() {
         let _ = fig7_encoding(&[0.0; 15]);
-    }
-
-    #[test]
-    fn reuploading_single_layer_equals_plain_encoding() {
-        let x: Vec<f64> = (0..16).map(|i| 0.3 + 0.2 * i as f64).collect();
-        let a = StateVector::from_circuit(&reuploading_encoding(&x, 4, 1));
-        let b = StateVector::from_circuit(&column_encoding(&x, 4));
-        assert!((a.fidelity(&b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reuploading_layers_change_the_state() {
-        let x: Vec<f64> = (0..16).map(|i| 0.4 + 0.15 * i as f64).collect();
-        let one = StateVector::from_circuit(&reuploading_encoding(&x, 4, 1));
-        let two = StateVector::from_circuit(&reuploading_encoding(&x, 4, 2));
-        assert!(one.fidelity(&two) < 1.0 - 1e-6);
-        // Re-uploading creates entanglement between columns.
-        let z0 = pauli::PauliString::parse("IIIZ").unwrap();
-        let z1 = pauli::PauliString::parse("IIZI").unwrap();
-        let zz = pauli::PauliString::parse("IIZZ").unwrap();
-        let corr = two.expectation(&zz) - two.expectation(&z0) * two.expectation(&z1);
-        assert!(corr.abs() > 1e-6, "no correlation: {corr}");
-    }
-
-    #[test]
-    fn reuploading_gate_count() {
-        let x = vec![0.2; 16];
-        let c = reuploading_encoding(&x, 4, 3);
-        // 3 × 16 rotations + 2 × 4 CNOTs.
-        assert_eq!(c.len(), 48 + 8);
     }
 
     #[test]

@@ -11,12 +11,21 @@
 //! * [`FeatureBackend::Shadows`] — classical shadows shared across all
 //!   observables of one prepared state (Proposition 2's estimator).
 //!
-//! Rows are generated in parallel with rayon: the measurement stage is
-//! embarrassingly parallel over `(data point, ansatz)` pairs, which is
-//! precisely the structure the hybrid HPC-QC runtime (`hpcq`) exploits
-//! across simulated QPUs.
+//! **Exact rows are computed in the Heisenberg picture.** A
+//! [`TransferPlan`] built once per generator holds every neuron's
+//! `U_a† O_b U_a` as a sparse sum of Pauli strings; since the Fig. 7
+//! encoding prepares a product state, a row is that fixed sparse map
+//! applied to the per-qubit Bloch vectors of `S(x)|0ⁿ⟩` — no state vector
+//! at all. [`generate`](FeatureGenerator::generate),
+//! [`generate_one`](FeatureGenerator::generate_one) and
+//! [`generate_rows_standalone`](FeatureGenerator::generate_rows_standalone)
+//! all call the one row kernel `TransferPlan::row_into`, so their rows
+//! agree bit for bit at any thread count. The result equals the
+//! state-vector expectation to 1e-12.
 //!
-//! Several batching optimisations shape the inner loop:
+//! The stochastic backends sample prepared states, so they keep the
+//! state-vector path (as does the `hpcq` device pool, which runs whole
+//! [`circuit_for`](FeatureGenerator::circuit_for) circuits):
 //!
 //! * the Fig. 7 encoding is executed through a fused
 //!   [`EncodingPlan`] — one dense 2×2 sweep per qubit instead of one per
@@ -25,24 +34,22 @@
 //! * the per-shift ansatz tails are bound, identity-elided, and
 //!   **gate-fused** once per generator ([`qsim::compile()`]) and cached, so
 //!   every row replays compact [`CompiledCircuit`]s;
-//! * per prepared state all observables are evaluated by one fused
-//!   `StateVector::expectation_many` pass for the exact backend;
-//! * the stochastic backends sample **all shifts of one row in a single
-//!   pass** — one RNG per row (instead of one per `(row, shift)` pair)
-//!   and, for `Shots`, one measurement rotation + CDF sampler per
-//!   qubit-wise-commuting observable group
-//!   (`qsim::estimate_paulis_batched`), so sampler setup is amortized
-//!   across the shifts while every neuron still draws its own independent
-//!   shots (Proposition 1's estimator).
+//! * all shifts of one row are sampled **in a single pass** — one RNG per
+//!   row (instead of one per `(row, shift)` pair) and, for `Shots`, one
+//!   measurement rotation + CDF sampler per qubit-wise-commuting
+//!   observable group (`qsim::estimate_paulis_batched`), so sampler setup
+//!   is amortized across the shifts while every neuron still draws its
+//!   own independent shots (Proposition 1's estimator).
 //!
-//! Batched and per-point paths are **bit-for-bit identical**: the batch
-//! kernels evaluate the same arithmetic per lane, and each lane's RNG is
-//! seeded and consumed exactly as the standalone row would seed and
-//! consume it. The serving layer's "micro-batching never changes a
-//! prediction" guarantee is built on this.
+//! Batched and per-point stochastic rows are **bit-for-bit identical**:
+//! the batch kernels evaluate the same arithmetic per lane, and each
+//! lane's RNG is seeded and consumed exactly as the standalone row would
+//! seed and consume it. The serving layer's "micro-batching never changes
+//! a prediction" guarantee is built on this.
 
 use crate::encoding::{column_encoding, EncodingPlan};
 use crate::strategy::Strategy;
+use crate::transfer::TransferPlan;
 use linalg::Mat;
 use qsim::{estimate_paulis_batched, Circuit, CompiledCircuit, StateVector};
 use rand::rngs::StdRng;
@@ -52,16 +59,17 @@ use shadows::{ShadowEstimator, ShadowProtocol};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Rows encoded together per batched simulation block: enough lanes to
-/// fill wide SIMD sweeps and amortize per-basis index math, small enough
-/// that a block of states stays cache-resident and chunk-level rayon
-/// parallelism still has work to steal.
+/// Rows encoded together per batched simulation block of the stochastic
+/// backends: enough lanes to fill wide SIMD sweeps and amortize per-basis
+/// index math, small enough that a block of states stays cache-resident
+/// and chunk-level rayon parallelism still has work to steal.
 pub const ENCODE_BLOCK: usize = 32;
 
 /// How neuron expectations are estimated.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FeatureBackend {
-    /// Noiseless expectation values from the state vector.
+    /// Noiseless expectation values, computed through the generator's
+    /// Pauli-transfer plan (see the module docs).
     Exact,
     /// Independent finite-shot sample means, `shots` per neuron
     /// (Proposition 1), drawn in one batched pass per row (rotations and
@@ -90,11 +98,12 @@ pub enum FeatureBackend {
 pub struct FeatureGenerator {
     strategy: Strategy,
     backend: FeatureBackend,
-    /// Per-shift ansatz tails, bound + gate-fused once on first use
-    /// (`None` for shifts whose tail elides/fuses away entirely). The
-    /// encoding circuit is static per model, so this is the tentpole's
-    /// "compile once, cache alongside the fingerprint" store.
+    /// Stochastic backends: per-shift ansatz tails, bound + gate-fused
+    /// once on first use (`None` for shifts whose tail elides/fuses away
+    /// entirely).
     compiled_shifts: OnceLock<Arc<Vec<Option<CompiledCircuit>>>>,
+    /// Exact backend: the Pauli-transfer plan, built once on first use.
+    transfer: OnceLock<Arc<TransferPlan>>,
     /// Cached [`Self::fingerprint`].
     fingerprint: OnceLock<u64>,
 }
@@ -127,6 +136,7 @@ impl FeatureGenerator {
             strategy,
             backend,
             compiled_shifts: OnceLock::new(),
+            transfer: OnceLock::new(),
             fingerprint: OnceLock::new(),
         }
     }
@@ -168,12 +178,24 @@ impl FeatureGenerator {
         c
     }
 
-    /// The per-shift ansatz circuits, bound, identity-elided, and
-    /// gate-fused **once per generator** — they are shared by every data
-    /// point ever fed through this generator, so the one-time
-    /// [`qsim::compile`] pass amortizes across the whole workload. Shifts
-    /// whose tail compiles to nothing (e.g. the all-zeros base shift)
-    /// are `None`: the encoding state is measured directly.
+    /// The exact backend's Pauli-transfer plan, built **once per
+    /// generator** and shared by every row ever fed through it (and by
+    /// its clones).
+    fn transfer(&self) -> Option<&TransferPlan> {
+        matches!(self.backend, FeatureBackend::Exact).then(|| {
+            &**self
+                .transfer
+                .get_or_init(|| Arc::new(TransferPlan::new(&self.strategy)))
+        })
+    }
+
+    /// The per-shift ansatz circuits of the stochastic backends, bound,
+    /// identity-elided, and gate-fused **once per generator** — they are
+    /// shared by every data point ever fed through this generator, so the
+    /// one-time [`qsim::compile`] pass amortizes across the whole
+    /// workload. Shifts whose tail compiles to nothing (e.g. the
+    /// all-zeros base shift) are `None`: the encoding state is measured
+    /// directly.
     fn compiled_shifts(&self) -> Arc<Vec<Option<CompiledCircuit>>> {
         Arc::clone(self.compiled_shifts.get_or_init(|| {
             Arc::new(match self.strategy.ansatz() {
@@ -195,43 +217,43 @@ impl FeatureGenerator {
         }))
     }
 
-    /// One feature row: the encoding state `S(x)|0⟩` is built **once**
-    /// through the fused [`EncodingPlan`] and then cloned-and-extended per
-    /// compiled ansatz shift, instead of re-running the full circuit from
-    /// `|0…0⟩` for every shift — for the hybrid strategy (17 shifts at
-    /// 1-order) that cuts circuit simulation ~17×. Stochastic backends
-    /// additionally sample all shifts in one pass through a single
-    /// row-level RNG.
+    /// The base seed of a stochastic backend.
+    fn seed(&self) -> u64 {
+        match self.backend {
+            FeatureBackend::Shots { seed, .. } | FeatureBackend::Shadows { seed, .. } => seed,
+            FeatureBackend::Exact => unreachable!("exact rows go through the transfer plan"),
+        }
+    }
+
+    /// One stochastic feature row: the encoding state `S(x)|0⟩` is built
+    /// **once** through the fused [`EncodingPlan`] and then
+    /// cloned-and-extended per compiled ansatz shift, and all shifts are
+    /// sampled in one pass through a single row-level RNG.
     fn row_for(&self, i: usize, x: &[f64], shifts: &[Option<CompiledCircuit>]) -> Vec<f64> {
         let m = self.strategy.num_neurons();
         let q = self.strategy.num_observables();
         let n = self.strategy.num_qubits();
         let mut row = vec![0.0; m];
         let encoded = EncodingPlan::new(x.len(), n).encode_one(x);
-        let mut rng = match self.backend {
-            FeatureBackend::Exact => None,
-            FeatureBackend::Shots { seed, .. } | FeatureBackend::Shadows { seed, .. } => {
-                Some(StdRng::seed_from_u64(derive_row_seed(seed, i)))
-            }
-        };
+        let mut rng = StdRng::seed_from_u64(derive_row_seed(self.seed(), i));
         for (a, shifted) in shifts.iter().enumerate() {
             let out = &mut row[a * q..(a + 1) * q];
             match shifted {
                 Some(cc) => {
                     let mut state = encoded.clone();
                     state.apply_compiled(cc);
-                    self.fill_observables(&state, rng.as_mut(), out);
+                    self.fill_observables(&state, &mut rng, out);
                 }
                 // No ansatz (observable construction) or a fully-fused-
                 // away shift (the all-zeros base circuit): measure S(x)|0⟩.
-                None => self.fill_observables(&encoded, rng.as_mut(), out),
+                None => self.fill_observables(&encoded, &mut rng, out),
             }
         }
         row
     }
 
-    /// Feature rows for a block of points that share one feature length:
-    /// the whole block encodes in one amplitude-major
+    /// Stochastic feature rows for a block of points that share one
+    /// feature length: the whole block encodes in one amplitude-major
     /// [`qsim::BatchedStateVector`] pass, each compiled shift applies to
     /// all lanes at once, and lane `l` is measured with its own RNG seeded
     /// by `indices[l]` and consumed in ascending shift order — exactly the
@@ -248,13 +270,10 @@ impl FeatureGenerator {
         let q = self.strategy.num_observables();
         let n = self.strategy.num_qubits();
         let encoded = EncodingPlan::new(xs[0].len(), n).encode_batch(xs);
-        let mut rngs: Vec<Option<StdRng>> = match self.backend {
-            FeatureBackend::Exact => vec![None; xs.len()],
-            FeatureBackend::Shots { seed, .. } | FeatureBackend::Shadows { seed, .. } => indices
-                .iter()
-                .map(|&i| Some(StdRng::seed_from_u64(derive_row_seed(seed, i))))
-                .collect(),
-        };
+        let mut rngs: Vec<StdRng> = indices
+            .iter()
+            .map(|&i| StdRng::seed_from_u64(derive_row_seed(self.seed(), i)))
+            .collect();
         let mut rows = vec![vec![0.0; m]; xs.len()];
         for (a, shifted) in shifts.iter().enumerate() {
             match shifted {
@@ -264,7 +283,7 @@ impl FeatureGenerator {
                     for (l, row) in rows.iter_mut().enumerate() {
                         self.fill_observables(
                             &batch.lane(l),
-                            rngs[l].as_mut(),
+                            &mut rngs[l],
                             &mut row[a * q..(a + 1) * q],
                         );
                     }
@@ -273,7 +292,7 @@ impl FeatureGenerator {
                     for (l, row) in rows.iter_mut().enumerate() {
                         self.fill_observables(
                             &encoded.lane(l),
-                            rngs[l].as_mut(),
+                            &mut rngs[l],
                             &mut row[a * q..(a + 1) * q],
                         );
                     }
@@ -307,13 +326,23 @@ impl FeatureGenerator {
 
     /// Generates the `d × m` feature matrix `Q` for the given data rows
     /// (each row is a `[0, 2π)` feature vector, length a multiple of the
-    /// qubit count). Rows encode in batched blocks of [`ENCODE_BLOCK`]
-    /// (blocks fanned out on the shared executor); the result is
-    /// deterministic for stochastic backends and independent of both the
-    /// thread count and the blocking — each row is bit-for-bit the row
-    /// the per-point path computes.
+    /// qubit count). Exact rows are written straight into `Q` by the
+    /// transfer kernel, fanned out over rows; stochastic rows encode in
+    /// batched blocks of [`ENCODE_BLOCK`]. The result is deterministic
+    /// for stochastic backends and independent of both the thread count
+    /// and the blocking — each row is bit-for-bit the row the per-point
+    /// path computes.
     pub fn generate(&self, data: &[Vec<f64>]) -> Mat {
         assert!(!data.is_empty(), "no data rows");
+        if let Some(plan) = self.transfer() {
+            let m = plan.num_features();
+            let mut q = Mat::zeros(data.len(), m);
+            q.data_mut()
+                .par_chunks_mut(m)
+                .zip(data.par_iter())
+                .for_each(|(out, x)| plan.row_into(x, out));
+            return q;
+        }
         let shifts = self.compiled_shifts();
         let blocks: Vec<Vec<Vec<f64>>> = data
             .par_chunks(ENCODE_BLOCK)
@@ -329,37 +358,39 @@ impl FeatureGenerator {
         Mat::from_rows(&rows)
     }
 
-    /// Evaluates all observables of one prepared state into `out`,
-    /// drawing any shot noise from the row-level RNG (`None` only for the
-    /// exact backend).
-    fn fill_observables(&self, state: &StateVector, rng: Option<&mut StdRng>, out: &mut [f64]) {
+    /// Estimates all observables of one prepared state into `out`,
+    /// drawing the shot noise from the row-level RNG.
+    fn fill_observables(&self, state: &StateVector, rng: &mut StdRng, out: &mut [f64]) {
         let obs = self.strategy.observables();
         match self.backend {
-            FeatureBackend::Exact => {
-                out.copy_from_slice(&state.expectation_many(obs));
-            }
             FeatureBackend::Shots { shots, .. } => {
                 // One rotation + CDF sampler per commuting observable
                 // group; every neuron still draws its own `shots`.
-                let rng = rng.expect("stochastic backend needs a row RNG");
                 out.copy_from_slice(&estimate_paulis_batched(state, obs, shots, rng));
             }
             FeatureBackend::Shadows {
                 snapshots, groups, ..
             } => {
-                let rng = rng.expect("stochastic backend needs a row RNG");
                 let protocol = ShadowProtocol::new(snapshots, 0);
                 let est = ShadowEstimator::new(protocol.acquire_with_rng(state, rng), groups);
                 let values = est.estimate_many(obs);
                 out.copy_from_slice(&values);
             }
+            FeatureBackend::Exact => unreachable!("exact rows go through the transfer plan"),
         }
     }
 
     /// Convenience: generate features for a single sample — the row is
     /// produced directly, with no intermediate data copy or matrix.
     pub fn generate_one(&self, x: &[f64]) -> Vec<f64> {
-        self.row_for(0, x, &self.compiled_shifts())
+        match self.transfer() {
+            Some(plan) => {
+                let mut row = vec![0.0; plan.num_features()];
+                plan.row_into(x, &mut row);
+                row
+            }
+            None => self.row_for(0, x, &self.compiled_shifts()),
+        }
     }
 
     /// One feature row per input, each seeded exactly like a standalone
@@ -369,7 +400,7 @@ impl FeatureGenerator {
     /// coalesces concurrent single requests into micro-batches and caches
     /// rows by input, which is only sound when the batched row is
     /// bit-for-bit the row a lone request would have produced — which
-    /// holds even though the batch encodes in SoA blocks, because the
+    /// holds because exact rows share one row kernel and the stochastic
     /// batched kernels are bit-identical per lane.
     ///
     /// Contrast [`Self::generate`], which seeds stochastic backends per
@@ -378,6 +409,9 @@ impl FeatureGenerator {
     pub fn generate_rows_standalone(&self, xs: &[&[f64]]) -> Vec<Vec<f64>> {
         if xs.is_empty() {
             return Vec::new();
+        }
+        if self.transfer().is_some() {
+            return xs.par_iter().map(|x| self.generate_one(x)).collect();
         }
         let shifts = self.compiled_shifts();
         let blocks: Vec<Vec<Vec<f64>>> = xs
@@ -396,6 +430,7 @@ mod tests {
     use super::*;
     use crate::ansatz::fig8_ansatz;
     use crate::strategy::Strategy;
+    use qsim::{Gate, ParamCircuit, RotAxis};
 
     fn toy_data(d: usize) -> Vec<Vec<f64>> {
         (0..d)
@@ -540,25 +575,106 @@ mod tests {
 
     #[test]
     fn batched_generate_bit_identical_across_thread_counts() {
-        // Satellite: batched encode must be bit-for-bit equal to the
-        // per-point path at 1, 2, and 4 threads. generate_one is the
-        // per-point reference (row_for + encode_one); generate and
-        // generate_rows_standalone go through the SoA block path.
-        let s = Strategy::hybrid(fig8_ansatz(4), 1, 1);
-        let generator = FeatureGenerator::new(
-            s,
+        // Batched rows must be bit-for-bit the per-point rows at 1, 2 and
+        // 4 threads. generate_one is the per-point reference; for the
+        // exact backend every entry point runs the same transfer row, and
+        // for shots generate_rows_standalone goes through the SoA block
+        // path (generate seeds shots by row index, so only the exact
+        // backend's generate rows equal generate_one's).
+        for backend in [
+            FeatureBackend::Exact,
             FeatureBackend::Shots {
                 shots: 64,
                 seed: 21,
             },
-        );
-        let data = toy_data(5);
-        let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let reference: Vec<Vec<f64>> = refs.iter().map(|x| generator.generate_one(x)).collect();
-        for threads in [1, 2, 4] {
-            let rows =
-                rayon::with_num_threads(threads, || generator.generate_rows_standalone(&refs));
-            assert_eq!(rows, reference, "threads = {threads}");
+        ] {
+            let generator = FeatureGenerator::new(Strategy::hybrid(fig8_ansatz(4), 1, 1), backend);
+            let data = toy_data(ENCODE_BLOCK + 5);
+            let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+            let reference: Vec<Vec<f64>> = refs.iter().map(|x| generator.generate_one(x)).collect();
+            for threads in [1, 2, 4] {
+                let rows =
+                    rayon::with_num_threads(threads, || generator.generate_rows_standalone(&refs));
+                assert_eq!(rows, reference, "{backend:?}, threads = {threads}");
+                if backend == FeatureBackend::Exact {
+                    let q = rayon::with_num_threads(threads, || generator.generate(&data));
+                    for (i, row) in reference.iter().enumerate() {
+                        assert_eq!(q.row(i), &row[..], "threads = {threads}, row {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// An ansatz with every `qsim::Gate` variant: the three rotation axes
+    /// as parameters, every other gate fixed.
+    fn every_gate_ansatz(n: usize) -> ParamCircuit {
+        let mut pc = ParamCircuit::new(n);
+        for q in 0..n {
+            let r = (q + 1) % n;
+            pc.push_rot(RotAxis::X, q);
+            for g in [Gate::H(q), Gate::X(r), Gate::Y(q), Gate::Z(r), Gate::S(q)] {
+                pc.push_fixed(g);
+            }
+            pc.push_rot(RotAxis::Y, r);
+            for g in [Gate::Sdg(r), Gate::T(q), Gate::Tdg(r), Gate::Phase(q, 0.45)] {
+                pc.push_fixed(g);
+            }
+            pc.push_fixed(Gate::Cnot {
+                control: q,
+                target: r,
+            });
+            pc.push_rot(RotAxis::Z, q);
+            pc.push_fixed(Gate::Cz(q, r));
+            pc.push_fixed(Gate::Swap(q, r));
+        }
+        pc
+    }
+
+    /// Every exact row entry against the state-vector simulation of the
+    /// full circuit, to 1e-12.
+    fn assert_matches_state_vector(generator: &FeatureGenerator, x: &[f64]) {
+        let s = generator.strategy();
+        let row = generator.generate_one(x);
+        for a in 0..s.num_ansatze() {
+            let state = StateVector::from_circuit(&generator.circuit_for(x, a));
+            for (b, o) in s.observables().iter().enumerate() {
+                let (got, want) = (row[s.column_of(a, b)], state.expectation(o));
+                assert!((got - want).abs() < 1e-12, "({a}, {o}): {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_rows_match_the_state_vector_reference() {
+        for n in 2..=5 {
+            let z0 = Strategy::default_observable(n);
+            let x: Vec<f64> = (0..4 * n).map(|j| 0.2 + 0.41 * (j % 13) as f64).collect();
+            let table3 = [
+                Strategy::ansatz_expansion(fig8_ansatz(n), 1, z0),
+                Strategy::ansatz_expansion(fig8_ansatz(n), 2, z0),
+                Strategy::observable_construction(n, 1),
+                Strategy::observable_construction(n, 2),
+                Strategy::observable_construction(n, 3.min(n)),
+                Strategy::hybrid(fig8_ansatz(n), 1, 1),
+                Strategy::hybrid(fig8_ansatz(n), 2, 1),
+                Strategy::hybrid(fig8_ansatz(n), 1, 2),
+            ];
+            for s in table3 {
+                assert_matches_state_vector(&FeatureGenerator::new(s, FeatureBackend::Exact), &x);
+            }
+            // Non-Clifford: arbitrary angles through every gate variant.
+            let ansatz = every_gate_ansatz(n);
+            let k = ansatz.num_params();
+            let shifts: Vec<Vec<f64>> = (0..3)
+                .map(|a| {
+                    (0..k)
+                        .map(|i| -2.0 + 0.37 * ((a * k + i) % 11) as f64)
+                        .collect()
+                })
+                .collect();
+            let s = Strategy::hybrid(ansatz, 1, 2).with_shifts(shifts);
+            assert_matches_state_vector(&FeatureGenerator::new(s, FeatureBackend::Exact), &x);
         }
     }
 
@@ -596,7 +712,7 @@ mod tests {
         let a = FeatureGenerator::new(s.clone(), FeatureBackend::Exact);
         let b = FeatureGenerator::new(s.clone(), FeatureBackend::Exact);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        // Warming the compiled-shift cache must not change the print.
+        // Warming the transfer-plan cache must not change the print.
         let _ = a.generate_one(&[0.3; 16]);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));

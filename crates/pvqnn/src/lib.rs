@@ -21,7 +21,7 @@
 //! | §IV.A ansatz expansion (shift grids, Eq. (16)) | [`shifts`], [`strategy`] |
 //! | §IV.B observable construction (Eq. (18)) | [`strategy`] |
 //! | §IV.C hybrid + pruning (Eqs. (17), (25)) | [`strategy`], [`pruning`] |
-//! | Algorithm 1 feature generation | [`features`] |
+//! | Algorithm 1 feature generation | [`features`], [`transfer`] |
 //! | §V architecture (linear/logistic/softmax heads) | [`model`] |
 //! | §VII variational baseline | [`variational`] |
 //! | §VI Props. 1–2, Table II | [`budget`] |
@@ -38,6 +38,7 @@ pub mod model;
 pub mod pruning;
 pub mod shifts;
 pub mod strategy;
+pub mod transfer;
 pub mod variational;
 
 pub use ansatz::fig8_ansatz;

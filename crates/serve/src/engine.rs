@@ -188,28 +188,30 @@ mod tests {
 
     #[test]
     fn pool_engine_matches_local_for_exact_backend() {
-        // Exact jobs on noiseless devices compute the same expectations
-        // the fused local sweep does (to rounding; summation orders
-        // differ between the kernels).
-        let generator = FeatureGenerator::new(
+        // Exact jobs on noiseless devices simulate each full circuit; the
+        // local engine evaluates the generator's Pauli-transfer rows. They
+        // agree to rounding, with and without shifted ansatz circuits.
+        for strategy in [
             Strategy::observable_construction(4, 1),
-            FeatureBackend::Exact,
-        );
-        let data = points(3);
-        let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let local = FeatureEngine::local()
-            .compute_rows(&generator, &refs, None)
-            .unwrap()
-            .rows;
-        let pool = FeatureEngine::pool(2, QpuConfig::default(), SchedulePolicy::WorkStealing);
-        let out = pool.compute_rows(&generator, &refs, None).unwrap();
-        assert_eq!(out.faults, hpcq::FaultStats::default(), "healthy path");
-        let pooled = out.rows;
-        assert_eq!(local.len(), pooled.len());
-        for (lr, pr) in local.iter().zip(pooled.iter()) {
-            assert_eq!(lr.len(), pr.len());
-            for (l, p) in lr.iter().zip(pr.iter()) {
-                assert!((l - p).abs() < 1e-10, "local {l} vs pool {p}");
+            Strategy::hybrid(pvqnn::fig8_ansatz(4), 1, 1),
+        ] {
+            let generator = FeatureGenerator::new(strategy, FeatureBackend::Exact);
+            let data = points(3);
+            let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+            let local = FeatureEngine::local()
+                .compute_rows(&generator, &refs, None)
+                .unwrap()
+                .rows;
+            let pool = FeatureEngine::pool(2, QpuConfig::default(), SchedulePolicy::WorkStealing);
+            let out = pool.compute_rows(&generator, &refs, None).unwrap();
+            assert_eq!(out.faults, hpcq::FaultStats::default(), "healthy path");
+            let pooled = out.rows;
+            assert_eq!(local.len(), pooled.len());
+            for (lr, pr) in local.iter().zip(pooled.iter()) {
+                assert_eq!(lr.len(), pr.len());
+                for (l, p) in lr.iter().zip(pr.iter()) {
+                    assert!((l - p).abs() < 1e-10, "local {l} vs pool {p}");
+                }
             }
         }
     }

@@ -6,7 +6,7 @@ use postvar::linalg::{lstsq, pinv, Mat};
 use postvar::pauli::{PauliString, PhaseI};
 use postvar::prelude::{fig7_encoding, fig8_ansatz, FeatureBackend, FeatureGenerator, StateVector};
 use postvar::pvqnn::strategy::Strategy as PvStrategy;
-use postvar::qsim::{self, BatchedStateVector, Gate};
+use postvar::qsim::{self, BatchedStateVector, Gate, ParamCircuit, RotAxis};
 use proptest::prelude::*;
 
 /// Strategy: a random Pauli string on `n` qubits as (x, z) masks.
@@ -265,18 +265,24 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // The serving invariant end to end: standalone-seeded batched rows
-        // (the cache-miss path) equal one-at-a-time `generate_one` exactly,
-        // even for the stochastic finite-shot backend.
-        let generator = FeatureGenerator::new(
-            PvStrategy::hybrid(fig8_ansatz(4), 1, 1),
-            FeatureBackend::Shots { shots: 32, seed },
-        );
-        let refs: Vec<&[f64]> = raws.iter().map(Vec::as_slice).collect();
-        let rows = generator.generate_rows_standalone(&refs);
-        prop_assert_eq!(rows.len(), raws.len());
-        for (x, row) in refs.iter().zip(rows.iter()) {
-            let lone = generator.generate_one(x);
-            prop_assert_eq!(row, &lone);
+        // (the cache-miss path) equal one-at-a-time `generate_one` exactly
+        // at 1, 2 and 4 threads, for the exact transfer rows and for the
+        // stochastic finite-shot backend. Exact `generate` rows equal
+        // them too (shots seed `generate` by row index instead).
+        for backend in [FeatureBackend::Exact, FeatureBackend::Shots { shots: 32, seed }] {
+            let generator = FeatureGenerator::new(PvStrategy::hybrid(fig8_ansatz(4), 1, 1), backend);
+            let refs: Vec<&[f64]> = raws.iter().map(Vec::as_slice).collect();
+            let lone: Vec<Vec<f64>> = refs.iter().map(|x| generator.generate_one(x)).collect();
+            for threads in [1, 2, 4] {
+                let rows = rayon::with_num_threads(threads, || generator.generate_rows_standalone(&refs));
+                prop_assert_eq!(&rows, &lone);
+                if backend == FeatureBackend::Exact {
+                    let q = rayon::with_num_threads(threads, || generator.generate(&raws));
+                    for (i, row) in lone.iter().enumerate() {
+                        prop_assert_eq!(q.row(i), &row[..]);
+                    }
+                }
+            }
         }
     }
 
@@ -295,6 +301,102 @@ proptest! {
                 "{}: fused {} vs per-term {}", p, v, per_term
             );
         }
+    }
+}
+
+/// An ansatz using every `qsim::Gate` variant: the three rotation axes as
+/// parameters (3 per qubit), every other gate fixed.
+fn every_gate_ansatz(n: usize) -> ParamCircuit {
+    let mut pc = ParamCircuit::new(n);
+    for q in 0..n {
+        let r = (q + 1) % n;
+        pc.push_rot(RotAxis::X, q);
+        for g in [
+            Gate::H(q),
+            Gate::X(r),
+            Gate::Y(q),
+            Gate::Z(r),
+            Gate::S(q),
+            Gate::Sdg(r),
+        ] {
+            pc.push_fixed(g);
+        }
+        pc.push_rot(RotAxis::Y, r);
+        for g in [Gate::T(q), Gate::Tdg(r), Gate::Phase(q, 0.9)] {
+            pc.push_fixed(g);
+        }
+        pc.push_fixed(Gate::Cnot {
+            control: q,
+            target: r,
+        });
+        pc.push_rot(RotAxis::Z, q);
+        pc.push_fixed(Gate::Cz(q, r));
+        pc.push_fixed(Gate::Swap(q, r));
+    }
+    pc
+}
+
+/// The Table III strategies on `n` qubits (locality capped at `n`).
+fn table3_strategies(n: usize) -> Vec<PvStrategy> {
+    let z0 = PvStrategy::default_observable(n);
+    vec![
+        PvStrategy::ansatz_expansion(fig8_ansatz(n), 1, z0),
+        PvStrategy::ansatz_expansion(fig8_ansatz(n), 2, z0),
+        PvStrategy::observable_construction(n, 1),
+        PvStrategy::observable_construction(n, 2),
+        PvStrategy::observable_construction(n, 3.min(n)),
+        PvStrategy::hybrid(fig8_ansatz(n), 1, 1),
+        PvStrategy::hybrid(fig8_ansatz(n), 2, 1),
+        PvStrategy::hybrid(fig8_ansatz(n), 1, 2),
+    ]
+}
+
+/// Exact (transfer) rows against a state-vector simulation of every
+/// neuron's full circuit: the largest deviation.
+fn transfer_vs_state_vector(generator: &FeatureGenerator, x: &[f64]) -> f64 {
+    let s = generator.strategy();
+    let row = generator.generate_one(x);
+    let mut worst = 0.0f64;
+    for a in 0..s.num_ansatze() {
+        let state = StateVector::from_circuit(&generator.circuit_for(x, a));
+        for (b, o) in s.observables().iter().enumerate() {
+            worst = worst.max((row[s.column_of(a, b)] - state.expectation(o)).abs());
+        }
+    }
+    worst
+}
+
+// Exact features in the Heisenberg picture ≡ the Schrödinger-picture
+// state-vector reference, to 1e-12.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn exact_rows_match_state_vector_on_table3_strategies(
+        n in 2usize..6,
+        which in 0usize..8,
+        raw in proptest::collection::vec(0.0f64..std::f64::consts::TAU, 20),
+    ) {
+        let strategy = table3_strategies(n).swap_remove(which);
+        let generator = FeatureGenerator::new(strategy, FeatureBackend::Exact);
+        let worst = transfer_vs_state_vector(&generator, &raw[..4 * n]);
+        prop_assert!(worst < 1e-12, "n = {}, strategy {}: {}", n, which, worst);
+    }
+
+    #[test]
+    fn exact_rows_match_state_vector_at_arbitrary_shift_angles(
+        n in 2usize..6,
+        raw in proptest::collection::vec(0.0f64..std::f64::consts::TAU, 20),
+        angles in proptest::collection::vec(-3.2f64..3.2, 45),
+    ) {
+        // Non-Clifford ansätze: every gate variant, any rotation angles.
+        let ansatz = every_gate_ansatz(n);
+        let k = ansatz.num_params();
+        let shifts: Vec<Vec<f64>> = angles.chunks(15).map(|c| c[..k].to_vec()).collect();
+        let strategy = PvStrategy::hybrid(ansatz, 1, 2).with_shifts(shifts);
+        let generator = FeatureGenerator::new(strategy, FeatureBackend::Exact);
+        let worst = transfer_vs_state_vector(&generator, &raw[..4 * n]);
+        prop_assert!(worst < 1e-12, "n = {}: {}", n, worst);
     }
 }
 
