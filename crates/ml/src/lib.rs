@@ -7,6 +7,18 @@
 //! multiclass extension), a two-layer MLP (the "Classical MLP" baseline),
 //! and the ℓ2-ball-constrained convex fits of Theorem 4. All implemented
 //! here from scratch on top of `linalg`.
+//!
+//! [`LogisticRegression::fit`] presolves its design: columns equal up to
+//! sign (every exact Table III neuron on the shift grid is one signed
+//! Pauli string, so `hybrid(fig8,2,1)`'s 1677 columns hold 139 distinct
+//! ones) are fitted once, on √kₛ·σ·x for a group of kₛ copies, and the
+//! weights are mapped back as σⱼ·uₛ/√kₛ. The map is an isometry onto the
+//! subspace L-BFGS never leaves from zero, so the reduced solve takes the
+//! full-width steps in exact arithmetic, keeps ‖w‖ (Theorem 4's ball) and
+//! stops no later in ‖∇‖∞. Designs without repeated columns take the
+//! full-width solve bit for bit. [`SoftmaxRegression`] is fitted at full
+//! width: Adam is not rotation-invariant, so the reduction is not exact
+//! there.
 
 pub mod logistic;
 pub mod loss;

@@ -7,6 +7,7 @@ use crate::loss::{bce_loss, sigmoid};
 use crate::optim::{norm_inf, project_l2_ball, Lbfgs, LbfgsResult};
 use linalg::{dot, Mat};
 use rayon::prelude::*;
+use std::collections::HashMap;
 
 /// Training configuration.
 #[derive(Clone, Copy, Debug)]
@@ -48,31 +49,50 @@ impl LogisticRegression {
     /// Fits on feature matrix `x` (rows = samples) and labels `y ∈ {0,1}`
     /// by minimising mean BCE + (λ/2)‖w‖² with [`Lbfgs`] from zero. The
     /// result is bit-for-bit the same at any thread count.
+    ///
+    /// Columns equal up to sign are solved once. With σⱼ the sign of
+    /// column j's first non-zero entry and kₛ the size of its group s,
+    /// the fit runs on the reduced design zₛ = √kₛ·σ·x_rep and maps back
+    /// by wⱼ = σⱼ·uₛ/√kₛ. That map is an isometry onto the subspace
+    /// L-BFGS never leaves from zero on the full design, and the two-loop
+    /// recursion sees only inner products, so both solves take the same
+    /// steps in exact arithmetic; ‖w‖ = ‖u‖ keeps a `weight_ball`
+    /// unchanged. The reduced stop ‖∇ᵤ‖∞ ≤ [`Lbfgs::GRAD_TOL`] bounds the
+    /// full-width gradient by the same over √kₛ, so the stop is never
+    /// looser, and [`Self::grad_norm_inf`] is measured at full width. A
+    /// design without repeated columns takes the full-width solve
+    /// unchanged.
     pub fn fit(x: &Mat, y: &[f64], config: LogisticConfig) -> Self {
         assert_eq!(x.rows(), y.len(), "row/label count mismatch");
         assert!(
             y.iter().all(|&v| v == 0.0 || v == 1.0),
             "labels must be 0/1"
         );
-        let f = x.cols();
-        let solve = |mu: f64, start: Vec<f64>| {
-            Lbfgs {
-                max_evals: config.epochs,
+        let (mut params, iterations, grad_norm_inf) = match Presolve::detect(x) {
+            None => {
+                let (run, _) = solve_head(x, y, config, |w| dot(w, w).sqrt());
+                (run.x, run.iterations, run.grad_norm_inf)
             }
-            .minimize(start, |p, g| loss_grad(x, y, config.l2 + mu, p, g))
+            Some(presolve) => {
+                let z = presolve.reduce(x);
+                let (run, mu) = solve_head(&z, y, config, |u| {
+                    let w = presolve.expand(u);
+                    dot(&w, &w).sqrt()
+                });
+                let mut params = presolve.expand(&run.x[..z.cols()]);
+                params.push(run.x[z.cols()]);
+                let mut grad = vec![0.0; params.len()];
+                loss_grad(x, y, config.l2 + mu, &params, &mut grad);
+                (params, run.iterations, norm_inf(&grad))
+            }
         };
-        let mut run = solve(0.0, vec![0.0; f + 1]);
-        if let Some(r) = config.weight_ball {
-            run = fit_in_ball(run, r, f, solve);
-        }
-        let mut params = run.x;
         let bias = params.pop().expect("bias is the last parameter");
         LogisticRegression {
             weights: params,
             bias,
             config,
-            iterations: run.iterations,
-            grad_norm_inf: run.grad_norm_inf,
+            iterations,
+            grad_norm_inf,
         }
     }
 
@@ -153,22 +173,47 @@ impl LogisticRegression {
     }
 }
 
+/// Minimises the objective on design `x` from zero, inside
+/// `config.weight_ball` when one is set, where `norm` measures the
+/// weights the solver's first `x.cols()` parameters stand for. Returns
+/// the last solve and the multiplier μ it added to λ.
+fn solve_head(
+    x: &Mat,
+    y: &[f64],
+    config: LogisticConfig,
+    norm: impl Fn(&[f64]) -> f64,
+) -> (LbfgsResult, f64) {
+    let f = x.cols();
+    let solve = |mu: f64, start: Vec<f64>| {
+        Lbfgs {
+            max_evals: config.epochs,
+        }
+        .minimize(start, |p, g| loss_grad(x, y, config.l2 + mu, p, g))
+    };
+    let free = solve(0.0, vec![0.0; f + 1]);
+    match config.weight_ball {
+        Some(r) => fit_in_ball(free, r, f, norm, solve),
+        None => (free, 0.0),
+    }
+}
+
 /// Theorem 4's ball `‖w‖ ≤ r`, through its Lagrange multiplier: the
 /// constrained optimum minimises the objective plus (μ/2)‖w‖² for the
 /// smallest μ ≥ 0 whose minimiser lies in the ball, and that minimiser's
 /// norm falls as μ grows. Brackets μ by doubling, bisects it with
-/// warm-started solves, and returns the bracket's feasible end, so
-/// ‖w‖ ≤ r holds exactly.
+/// warm-started solves, and returns the bracket's feasible end with its
+/// μ, so ‖w‖ ≤ r holds exactly.
 fn fit_in_ball(
     free: LbfgsResult,
     r: f64,
     f: usize,
+    norm: impl Fn(&[f64]) -> f64,
     solve: impl Fn(f64, Vec<f64>) -> LbfgsResult,
-) -> LbfgsResult {
+) -> (LbfgsResult, f64) {
     assert!(r > 0.0, "weight_ball radius must be positive");
-    let norm = |run: &LbfgsResult| dot(&run.x[..f], &run.x[..f]).sqrt();
+    let norm = |run: &LbfgsResult| norm(&run.x[..f]);
     if norm(&free) <= r {
-        return free;
+        return (free, 0.0);
     }
     let mut iterations = free.iterations;
     let (mut lo, mut hi) = (0.0, 1.0);
@@ -179,10 +224,13 @@ fn fit_in_ball(
             // Only an evaluation cap too small to move the weights gets
             // here: fall back to projecting onto the ball.
             project_l2_ball(&mut feasible.x[..f], r);
-            return LbfgsResult {
-                iterations,
-                ..feasible
-            };
+            return (
+                LbfgsResult {
+                    iterations,
+                    ..feasible
+                },
+                hi,
+            );
         }
         (lo, hi) = (hi, 2.0 * hi);
         feasible = solve(hi, feasible.x);
@@ -198,9 +246,119 @@ fn fit_in_ball(
             lo = mid;
         }
     }
-    LbfgsResult {
-        iterations,
-        ..feasible
+    (
+        LbfgsResult {
+            iterations,
+            ..feasible
+        },
+        hi,
+    )
+}
+
+/// The columns of a design grouped where they are equal up to sign: the
+/// presolve of [`LogisticRegression::fit`].
+struct Presolve {
+    /// Per column, its group; groups are numbered in order of their first
+    /// column.
+    group: Vec<usize>,
+    /// Per column, σⱼ: the sign of its first non-zero entry, +1 for an
+    /// all-zero column.
+    sign: Vec<f64>,
+    /// Per group, its first column.
+    reps: Vec<usize>,
+    /// Per group, √kₛ for its kₛ columns.
+    root_k: Vec<f64>,
+}
+
+impl Presolve {
+    /// Groups `x`'s columns, or `None` when no two are equal up to sign.
+    /// One row-major pass hashes every column's σⱼ·xᵢⱼ (−0.0 read as 0.0);
+    /// a second compares each column with the first column of its hash
+    /// value, so a hash match alone never merges two columns and a column
+    /// holding a NaN never merges at all.
+    fn detect(x: &Mat) -> Option<Self> {
+        let f = x.cols();
+        let mut sign = vec![0.0; f];
+        let mut hash = vec![0u64; f];
+        for i in 0..x.rows() {
+            for ((s, h), &v) in sign.iter_mut().zip(&mut hash).zip(x.row(i)) {
+                if *s == 0.0 && v != 0.0 {
+                    *s = if v < 0.0 { -1.0 } else { 1.0 };
+                }
+                // Before a column's first non-zero entry, σ is 0 and so
+                // is every entry; adding 0.0 turns −0.0 into 0.0.
+                let bits = (*s * v + 0.0).to_bits();
+                *h = (h.rotate_left(23) ^ bits).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            }
+        }
+        for s in &mut sign {
+            if *s == 0.0 {
+                *s = 1.0;
+            }
+        }
+        let mut first = HashMap::with_capacity(f);
+        let candidate: Vec<usize> = (0..f).map(|j| *first.entry(hash[j]).or_insert(j)).collect();
+        if first.len() == f {
+            return None;
+        }
+        let mut merges: Vec<bool> = (0..f).map(|j| candidate[j] != j).collect();
+        for i in 0..x.rows() {
+            let row = x.row(i);
+            for j in 0..f {
+                let c = candidate[j];
+                if merges[j] && sign[j] * row[j] != sign[c] * row[c] {
+                    merges[j] = false;
+                }
+            }
+        }
+        let mut group = vec![0; f];
+        let mut reps = Vec::new();
+        let mut sizes: Vec<usize> = Vec::new();
+        for j in 0..f {
+            if merges[j] {
+                group[j] = group[candidate[j]];
+                sizes[group[j]] += 1;
+            } else {
+                group[j] = reps.len();
+                reps.push(j);
+                sizes.push(1);
+            }
+        }
+        if reps.len() == f {
+            return None;
+        }
+        let root_k = sizes.iter().map(|&k| (k as f64).sqrt()).collect();
+        Some(Presolve {
+            group,
+            sign,
+            reps,
+            root_k,
+        })
+    }
+
+    /// The reduced design: column s is √kₛ·σ·x_rep for its first column.
+    fn reduce(&self, x: &Mat) -> Mat {
+        let scale: Vec<f64> = self
+            .reps
+            .iter()
+            .zip(&self.root_k)
+            .map(|(&r, &rk)| rk * self.sign[r])
+            .collect();
+        let mut z = Vec::with_capacity(x.rows() * self.reps.len());
+        for i in 0..x.rows() {
+            let row = x.row(i);
+            z.extend(self.reps.iter().zip(&scale).map(|(&r, &c)| c * row[r]));
+        }
+        Mat::from_vec(x.rows(), self.reps.len(), z)
+    }
+
+    /// Full-width weights wⱼ = σⱼ·uₛ/√kₛ from reduced weights `u`.
+    fn expand(&self, u: &[f64]) -> Vec<f64> {
+        self.group
+            .iter()
+            .zip(&self.sign)
+            .map(|(&s, &sigma)| sigma * u[s] / self.root_k[s])
+            .collect()
     }
 }
 
@@ -393,13 +551,10 @@ mod tests {
         assert!(grad_inf <= Lbfgs::GRAD_TOL, "‖g‖∞ = {grad_inf}");
     }
 
-    /// Determinism ledger: the head fit is thread-invariant — fixed
-    /// 32-row blocks added in block order, above the parallel threshold.
-    #[test]
-    fn fit_bits_identical_across_thread_counts() {
-        let (d, f) = (256, 160);
-        assert!(d * f >= PAR_MIN_ELEMS);
-        let mut state = 7u64;
+    /// A `d × f` design of uniform entries in [−0.5, 0.5) from a fixed
+    /// LCG, with labels from the first two columns.
+    fn random_design(d: usize, f: usize, seed: u64) -> (Mat, Vec<f64>) {
+        let mut state = seed;
         let mut next = || {
             state = state
                 .wrapping_mul(6364136223846793005)
@@ -407,14 +562,136 @@ mod tests {
             (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
         let x = Mat::from_vec(d, f, (0..d * f).map(|_| next()).collect());
-        let y: Vec<f64> = (0..d)
+        let y = (0..d)
             .map(|i| f64::from(x[(i, 0)] + x[(i, 1)] > 0.0))
             .collect();
-        let fit = |threads| {
-            rayon::with_num_threads(threads, || {
-                LogisticRegression::fit(&x, &y, LogisticConfig::default())
-            })
+        (x, y)
+    }
+
+    /// The design whose column j is `sign · x[:, col]` for each
+    /// `(col, sign)` of `cols`.
+    fn columns(x: &Mat, cols: &[(usize, f64)]) -> Mat {
+        let rows: Vec<Vec<f64>> = (0..x.rows())
+            .map(|i| cols.iter().map(|&(c, s)| s * x[(i, c)]).collect())
+            .collect();
+        Mat::from_rows(&rows)
+    }
+
+    /// ±duplicate, all-zero and −0.0 columns: the presolved fit reaches
+    /// the full-width objective and tolerance, copies carry weights equal
+    /// up to their sign, and zero columns get zero weight.
+    #[test]
+    fn presolve_matches_the_full_width_solve() {
+        let (base, y) = random_design(90, 3, 11);
+        // Scaling by ±0.0 gives zero columns of mixed-sign zeros.
+        let mut x = columns(
+            &base,
+            &[
+                (0, 1.0),
+                (1, -1.0),
+                (0, -1.0),
+                (2, 1.0),
+                (1, 1.0),
+                (0, 0.0),
+                (0, -0.0),
+                (0, 1.0),
+            ],
+        );
+        assert!(x[(0, 5)].is_sign_negative() != x[(0, 6)].is_sign_negative());
+        // A leading zero of either sign leaves σ to the next entry.
+        x[(0, 7)] = -0.0;
+        x[(0, 0)] = 0.0;
+        x[(0, 2)] = 0.0;
+        let groups = Presolve::detect(&x).expect("the design repeats columns");
+        assert_eq!(groups.reps, vec![0, 1, 3, 5]);
+        assert_eq!(groups.group, vec![0, 1, 0, 2, 1, 3, 3, 0]);
+
+        let config = LogisticConfig::default();
+        let model = LogisticRegression::fit(&x, &y, config);
+        // The full-width solve the presolve replaces.
+        let reference = Lbfgs {
+            max_evals: config.epochs,
+        }
+        .minimize(vec![0.0; x.cols() + 1], |p, g| {
+            loss_grad(&x, &y, config.l2, p, g)
+        });
+        let (objective, grad_inf) = model.objective(&x, &y);
+        assert!(
+            objective <= reference.value + 1e-9,
+            "presolved {objective} vs full width {}",
+            reference.value
+        );
+        assert!(model.grad_norm_inf() <= Lbfgs::GRAD_TOL);
+        assert!(grad_inf <= Lbfgs::GRAD_TOL, "‖g‖∞ = {grad_inf}");
+        let w = model.weights();
+        assert_ne!(w[0], 0.0);
+        assert_eq!(w[2].to_bits(), (-w[0]).to_bits());
+        assert_eq!(w[7].to_bits(), w[0].to_bits());
+        assert_eq!(w[4].to_bits(), (-w[1]).to_bits());
+        assert_eq!((w[5], w[6]), (0.0, 0.0));
+    }
+
+    /// A NaN entry never equals itself, so columns holding one never
+    /// merge, not even with a bit-identical copy.
+    #[test]
+    fn nan_columns_never_merge() {
+        let (base, _) = random_design(20, 2, 12);
+        let mut x = columns(&base, &[(0, 1.0), (0, 1.0), (1, 1.0), (1, -1.0)]);
+        x[(5, 0)] = f64::NAN;
+        x[(5, 1)] = f64::NAN;
+        let groups = Presolve::detect(&x).expect("columns 2 and 3 repeat");
+        assert_eq!(groups.group, vec![0, 1, 2, 2]);
+        x[(7, 3)] = f64::NAN;
+        x[(7, 2)] = f64::NAN;
+        assert!(Presolve::detect(&x).is_none());
+    }
+
+    /// Theorem 4's ball binds on a duplicated design: ‖w‖ ≤ r holds for
+    /// the full-width weights, near the full-width ball search. Each
+    /// multiplier solve stops at ‖∇‖∞ ≤ 1e-6, which leaves either path's
+    /// ‖w‖ about 1e-6 inside the surface, so the two objectives agree to
+    /// 1e-7 rather than to the 1e-9 of an unconstrained fit.
+    #[test]
+    fn weight_ball_binds_on_a_duplicated_design() {
+        let (base, y) = blobs(100, 4);
+        let x = columns(&base, &[(0, 1.0), (1, 1.0), (0, -1.0), (0, 1.0)]);
+        let config = LogisticConfig {
+            weight_ball: Some(1.0),
+            ..Default::default()
         };
+        let free = LogisticRegression::fit(&x, &y, LogisticConfig::default());
+        assert!(dot(free.weights(), free.weights()).sqrt() > 1.0);
+        let model = LogisticRegression::fit(&x, &y, config);
+        let norm = dot(model.weights(), model.weights()).sqrt();
+        assert!((1.0 - 1e-5..=1.0).contains(&norm), "‖w‖ = {norm}");
+
+        let solve = |mu: f64, start: Vec<f64>| {
+            Lbfgs {
+                max_evals: config.epochs,
+            }
+            .minimize(start, |p, g| loss_grad(&x, &y, config.l2 + mu, p, g))
+        };
+        let free_run = solve(0.0, vec![0.0; 5]);
+        let (reference, _) = fit_in_ball(free_run, 1.0, 4, |w| dot(w, w).sqrt(), solve);
+        let mut grad = vec![0.0; 5];
+        let reference_objective = loss_grad(&x, &y, config.l2, &reference.x, &mut grad);
+        let (objective, _) = model.objective(&x, &y);
+        assert!(
+            (objective - reference_objective).abs() <= 1e-7,
+            "presolved {objective} vs full width {reference_objective}"
+        );
+    }
+
+    /// Determinism ledger: the head fit is thread-invariant — fixed
+    /// 32-row blocks added in block order, above the parallel threshold —
+    /// at full width and on a ±duplicated design, whose reduced and
+    /// full-width evaluations are both above the threshold.
+    #[test]
+    fn fit_bits_identical_across_thread_counts() {
+        let (d, f) = (256, 160);
+        assert!(d * f >= PAR_MIN_ELEMS);
+        let (x, y) = random_design(d, f, 7);
+        let cols: Vec<(usize, f64)> = (0..f).flat_map(|j| [(j, 1.0), (j, -1.0)]).collect();
         let bits = |m: &LogisticRegression| -> Vec<u64> {
             m.weights()
                 .iter()
@@ -422,12 +699,44 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect()
         };
-        let one = fit(1);
-        for threads in [2, 4] {
-            let many = fit(threads);
-            assert_eq!(bits(&one), bits(&many), "{threads} threads");
-            assert_eq!(one.iterations(), many.iterations());
+        for x in [columns(&x, &cols), x] {
+            let fit = |threads| {
+                rayon::with_num_threads(threads, || {
+                    LogisticRegression::fit(&x, &y, LogisticConfig::default())
+                })
+            };
+            let one = fit(1);
+            assert!(one.grad_norm_inf() <= Lbfgs::GRAD_TOL);
+            for threads in [2, 4] {
+                let many = fit(threads);
+                assert_eq!(bits(&one), bits(&many), "{threads} threads");
+                assert_eq!(one.iterations(), many.iterations());
+            }
         }
+    }
+
+    /// The reduced solve really runs: fitting `[X, X]` gives, bit for
+    /// bit, the weights w/√2 of fitting √2·X, on both copies.
+    #[test]
+    fn duplicated_design_fits_on_the_reduced_columns() {
+        let (mut base, y) = random_design(80, 6, 14);
+        for j in 0..base.cols() {
+            if base[(0, j)] < 0.0 {
+                for i in 0..base.rows() {
+                    base[(i, j)] = -base[(i, j)];
+                }
+            }
+        }
+        let f = base.cols();
+        let cols: Vec<(usize, f64)> = (0..2 * f).map(|j| (j % f, 1.0)).collect();
+        let doubled = LogisticRegression::fit(&columns(&base, &cols), &y, Default::default());
+        let scaled = LogisticRegression::fit(&base.scale(2f64.sqrt()), &y, Default::default());
+        for (j, &w) in doubled.weights().iter().enumerate() {
+            let want = scaled.weights()[j % f] / 2f64.sqrt();
+            assert_eq!(w.to_bits(), want.to_bits(), "column {j}");
+        }
+        assert_eq!(doubled.bias().to_bits(), scaled.bias().to_bits());
+        assert_eq!(doubled.iterations(), scaled.iterations());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::circuit::Circuit;
 use crate::compile::{CompiledCircuit, FusedOp, Mat2, Mat4};
 use crate::gate::Gate;
 use crate::C64;
-use pauli::{PauliString, PauliSum};
+use pauli::PauliString;
 use rayon::prelude::*;
 
 /// Tolerance below which a rotation angle counts as the identity and its
@@ -722,14 +722,6 @@ impl StateVector {
         }
         total
     }
-
-    /// Expectation of a weighted Pauli sum; all terms are evaluated by one
-    /// fused [`Self::expectation_many`] pass over the amplitudes.
-    pub fn expectation_sum(&self, o: &PauliSum) -> f64 {
-        let paulis: Vec<PauliString> = o.terms().iter().map(|(_, p)| *p).collect();
-        let values = self.expectation_many(&paulis);
-        o.terms().iter().zip(values).map(|((c, _), v)| c * v).sum()
-    }
 }
 
 /// A batch of `n`-qubit states in amplitude-major structure-of-arrays
@@ -1324,18 +1316,6 @@ mod tests {
         });
         let s = StateVector::from_circuit(&c);
         assert!(approx(s.expectation(&PauliString::identity(3)), 1.0));
-    }
-
-    #[test]
-    fn expectation_sum_linear() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::Ry(0, 0.6));
-        let s = StateVector::from_circuit(&c);
-        let z0 = PauliString::single(2, 0, Pauli::Z);
-        let x0 = PauliString::single(2, 0, Pauli::X);
-        let sum = PauliSum::from_terms(vec![(2.0, z0), (-1.0, x0)]);
-        let want = 2.0 * s.expectation(&z0) - s.expectation(&x0);
-        assert!(approx(s.expectation_sum(&sum), want));
     }
 
     #[test]

@@ -665,7 +665,10 @@ fn worker_thread_hot_swaps_under_concurrent_clients() {
                 let mut answered = Vec::new();
                 let mut shed = 0u64;
                 let mut i = c as usize * 7;
-                while !done.load(Ordering::SeqCst) {
+                // At least one window per client, even one that starts
+                // after the control thread is done, so every tenant
+                // submits.
+                loop {
                     // A window of in-flight requests, then wait on each.
                     let mut window = Vec::new();
                     for _ in 0..6 {
@@ -682,6 +685,9 @@ fn worker_thread_hot_swaps_under_concurrent_clients() {
                     }
                     for (pid, h) in window {
                         answered.push((h.id(), pid, h.wait()));
+                    }
+                    if done.load(Ordering::SeqCst) {
+                        break;
                     }
                 }
                 (tenant, answered, shed)

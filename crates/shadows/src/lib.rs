@@ -22,6 +22,6 @@ pub mod protocol;
 pub mod snapshot;
 
 pub use estimator::ShadowEstimator;
-pub use norm::{pauli_shadow_norm_sq, shadow_norm_bound_sq, shots_for_error};
+pub use norm::pauli_shadow_norm_sq;
 pub use protocol::ShadowProtocol;
 pub use snapshot::Snapshot;

@@ -1,45 +1,16 @@
-//! Shadow norms and shot-budget formulas.
+//! Shadow norms.
 //!
 //! For the random single-qubit Clifford (Pauli-basis) ensemble the shadow
 //! norm of a Pauli string `P` is `‖P‖_S² = 3^{|P|}`; the paper quotes the
 //! looser bound `‖O‖_S² ≤ 4^L ‖O‖²` for any observable acting on `L`
-//! qubits (§II.B). The shot budget for estimating `M` observables to
-//! additive error ε is `O(log M · max_i ‖O_i‖_S² / ε²)`.
+//! qubits (§II.B).
 
-use pauli::{PauliString, PauliSum};
+use pauli::PauliString;
 
 /// Exact shadow-norm squared of a Pauli string under the Pauli-basis
 /// ensemble: `3^{weight}`.
 pub fn pauli_shadow_norm_sq(p: &PauliString) -> f64 {
     3f64.powi(p.weight() as i32)
-}
-
-/// Shadow-norm-squared upper bound for a weighted Pauli sum, via the
-/// triangle inequality `‖Σc_iP_i‖_S ≤ Σ|c_i|‖P_i‖_S`.
-pub fn sum_shadow_norm_bound_sq(o: &PauliSum) -> f64 {
-    let s: f64 = o
-        .terms()
-        .iter()
-        .map(|(c, p)| c.abs() * pauli_shadow_norm_sq(p).sqrt())
-        .sum();
-    s * s
-}
-
-/// The paper's generic bound `4^L · ‖O‖²` for an observable of locality
-/// `L` and spectral norm `‖O‖` (§II.B).
-pub fn shadow_norm_bound_sq(locality: usize, spectral_norm: f64) -> f64 {
-    4f64.powi(locality as i32) * spectral_norm * spectral_norm
-}
-
-/// Snapshot budget to estimate `m` observables with maximal shadow-norm²
-/// `max_norm_sq` to additive error `eps` with failure probability `delta`:
-/// `T = ⌈(34/ε²)·max‖O‖_S²⌉ · ⌈2 ln(2m/δ)⌉` — the constants from \[43\]'s
-/// Theorem S1 (median-of-means with K groups of size 34‖O‖_S²/ε²).
-pub fn shots_for_error(m: usize, max_norm_sq: f64, eps: f64, delta: f64) -> usize {
-    assert!(eps > 0.0 && delta > 0.0 && delta < 1.0 && m >= 1);
-    let group_size = (34.0 * max_norm_sq / (eps * eps)).ceil() as usize;
-    let groups = (2.0 * (2.0 * m as f64 / delta).ln()).ceil() as usize;
-    group_size.max(1) * groups.max(1)
 }
 
 #[cfg(test)]
@@ -60,43 +31,5 @@ mod tests {
             pauli_shadow_norm_sq(&PauliString::parse("ZXIY").unwrap()),
             27.0
         );
-    }
-
-    #[test]
-    fn pauli_norm_below_generic_bound() {
-        // 3^|P| ≤ 4^|P|·1² — the exact ensemble norm is tighter than the
-        // paper's generic bound.
-        for txt in ["Z", "XY", "XYZ", "XYZZ"] {
-            let p = PauliString::parse(txt).unwrap();
-            assert!(
-                pauli_shadow_norm_sq(&p) <= shadow_norm_bound_sq(p.weight(), 1.0),
-                "{txt}"
-            );
-        }
-    }
-
-    #[test]
-    fn sum_bound_triangle() {
-        let o = PauliSum::from_terms(vec![
-            (1.0, PauliString::parse("ZI").unwrap()),
-            (1.0, PauliString::parse("IZ").unwrap()),
-        ]);
-        // (√3 + √3)² = 12.
-        assert!((sum_shadow_norm_bound_sq(&o) - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shot_budget_scaling() {
-        // Halving ε quadruples the per-group budget.
-        let t1 = shots_for_error(10, 9.0, 0.1, 0.05);
-        let t2 = shots_for_error(10, 9.0, 0.05, 0.05);
-        let ratio = t2 as f64 / t1 as f64;
-        assert!(
-            (ratio - 4.0).abs() < 0.2,
-            "expected ≈4× budget for ε/2, got {ratio}"
-        );
-        // Observable count enters only logarithmically.
-        let t3 = shots_for_error(10_000, 9.0, 0.1, 0.05);
-        assert!((t3 as f64 / t1 as f64) < 4.0);
     }
 }
