@@ -39,46 +39,51 @@ fn fit_eval(
     (m, tr, te)
 }
 
+/// Shot-noise realisations behind each `shots` row.
+const SHOT_SEEDS: u64 = 32;
+
+/// `mean ± sd` of accuracies in percent (sample standard deviation).
+fn mean_sd(accs: &[f64]) -> String {
+    let n = accs.len() as f64;
+    let mean = accs.iter().sum::<f64>() / n;
+    let var = accs.iter().map(|a| (a - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    format!("{:.1} ± {:.1}%", mean * 100.0, var.sqrt() * 100.0)
+}
+
 fn main() {
     println!("== Ablations ==\n");
     let task = binary_task(60, 20, 21);
 
-    // --- 1. Backend ablation on the 2-local observable strategy.
+    // --- 1. Backend ablation on the 2-local observable strategy. The
+    //     shots rows are mean ± sd over SHOT_SEEDS noise realisations.
     println!("-- backend ablation (observable 2-local, 120 train / 40 test) --");
+    let strategy = Strategy::observable_construction(4, 2);
+    let percent = |acc: f64| format!("{:.1}%", acc * 100.0);
     let mut table = TablePrinter::new(&["backend", "train acc", "test acc"]);
-    for (name, backend) in [
-        ("exact", FeatureBackend::Exact),
-        (
-            "shots 256",
-            FeatureBackend::Shots {
-                shots: 256,
-                seed: 3,
-            },
-        ),
-        (
-            "shots 4096",
-            FeatureBackend::Shots {
-                shots: 4096,
-                seed: 3,
-            },
-        ),
-        (
-            "shadows 4096",
-            FeatureBackend::Shadows {
-                snapshots: 4096,
-                groups: 8,
-                seed: 3,
-            },
-        ),
-    ] {
-        let (_, tr, te) = fit_eval(Strategy::observable_construction(4, 2), backend, &task);
-        table.row(&[
-            name.into(),
-            format!("{:.1}%", tr * 100.0),
-            format!("{:.1}%", te * 100.0),
-        ]);
+    let (_, tr, te) = fit_eval(strategy.clone(), FeatureBackend::Exact, &task);
+    table.row(&["exact".into(), percent(tr), percent(te)]);
+    for shots in [256, 4096] {
+        let (train, test): (Vec<f64>, Vec<f64>) = (0..SHOT_SEEDS)
+            .map(|seed| {
+                let (_, tr, te) = fit_eval(
+                    strategy.clone(),
+                    FeatureBackend::Shots { shots, seed },
+                    &task,
+                );
+                (tr, te)
+            })
+            .unzip();
+        table.row(&[format!("shots {shots}"), mean_sd(&train), mean_sd(&test)]);
     }
+    let shadows = FeatureBackend::Shadows {
+        snapshots: 4096,
+        groups: 8,
+        seed: 3,
+    };
+    let (_, tr, te) = fit_eval(strategy, shadows, &task);
+    table.row(&["shadows 4096".into(), percent(tr), percent(te)]);
     table.print();
+    println!("(shots rows: mean ± sd over seeds 0..{SHOT_SEEDS})");
 
     // --- 2. Pruning-threshold sweep on the order-2 ansatz expansion.
     println!("\n-- gradient-pruning threshold vs ensemble size and accuracy --");

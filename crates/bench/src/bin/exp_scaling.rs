@@ -15,7 +15,8 @@
 
 use bench::{
     ab_compare, baseline_gate_failures, binary_task, feature_data, layer_circuit, mixed_pool_jobs,
-    naive_feature_sweep, oversubscribed_batch, time_secs, ScalingReport, TablePrinter,
+    naive_feature_sweep, naive_shot_sweep, oversubscribed_batch, time_secs, ScalingReport,
+    TablePrinter,
 };
 use hpcq::{strong_scaling, CircuitJob, HybridPipeline, QpuConfig, QpuPool, SchedulePolicy};
 use pauli::local_paulis;
@@ -30,10 +31,11 @@ use std::path::Path;
 /// Every one is a same-run ratio (optimized ÷ reference kernel, timed in
 /// interleaved pairs); a >25% move in the losing direction fails the
 /// smoke job.
-const GATED_METRICS: [(&str, bool); 4] = [
+const GATED_METRICS: [(&str, bool); 5] = [
     ("gate_fused_speedup", true),
     ("expectation_many_speedup", true),
     ("feature_reuse_speedup", true),
+    ("shots_rows_speedup", true),
     ("encode_batched_speedup", true),
 ];
 
@@ -101,10 +103,10 @@ fn heavy_jobs(count: usize) -> Vec<CircuitJob> {
 ///
 /// Gated same-run ratios: fused ÷ unfused gate apply, fused ÷ per-term
 /// expectation, exact transfer rows ÷ state-vector re-simulation per
-/// shift, and batched-SoA ÷ pointwise encode (the last two
-/// single-thread).
+/// shift, Shots rows ÷ the per-neuron state-vector sampler, and
+/// batched-SoA ÷ pointwise encode (the last three single-thread).
 /// Informational: gate-apply ns/amplitude (raw and fused), encode
-/// states/s, feature rows/s (exact and batched finite-shot backends),
+/// states/s, feature rows/s (exact and finite-shot backends),
 /// shadow estimates/s, the thread-pool scaling factor on a large gate
 /// kernel, and the shared-executor vs oversubscribed device-pool
 /// comparison on mixed job sizes.
@@ -209,21 +211,32 @@ fn kernel_metrics() -> ScalingReport {
     report.put("features_rows_per_s", rows_per_s);
     report.put("feature_reuse_speedup", reuse_speedup);
 
-    // Batched finite-shot feature throughput: the Shots backend samples
-    // all shifts of a row in one pass (one RNG per row, one rotation +
-    // CDF sampler per commuting observable group).
+    // Finite-shot rows: one Bernoulli count per neuron on the transfer
+    // row, against the per-neuron state-vector sampler (simulate each
+    // (row, shift) circuit, rotate and draw 128 outcomes per observable),
+    // pinned to one thread.
+    let shots = 128;
     let shot_generator = FeatureGenerator::new(
         Strategy::hybrid(fig8_ansatz(4), 1, 1),
-        FeatureBackend::Shots {
-            shots: 128,
-            seed: 7,
-        },
+        FeatureBackend::Shots { shots, seed: 7 },
     );
     let shot_data = feature_data(16);
+    let shots_speedup = rayon::with_num_threads(1, || {
+        ab_compare(
+            AB_PAIRS,
+            || naive_shot_sweep(&shot_generator, &shot_data, shots),
+            || shot_generator.generate(&shot_data),
+        )
+    })
+    .speedup;
     let shot_rows_per_s =
         shot_data.len() as f64 / time_secs(3, || shot_generator.generate(&shot_data));
-    println!("feature rows (shots): {shot_rows_per_s:>8.1} rows/s (128 shots, batched sampling)");
+    println!("feature rows (shots): {shot_rows_per_s:>8.1} rows/s (128 shots, Bernoulli counts on transfer rows)");
+    println!(
+        "shots rows:          {shots_speedup:>9.2}x vs the per-neuron state-vector sampler (1 thread)"
+    );
     report.put("features_shots_rows_per_s", shot_rows_per_s);
+    report.put("shots_rows_speedup", shots_speedup);
 
     // Batched SoA encoding vs point-by-point: the serving shape (16
     // features on 4 qubits, the fig. 7 column encoding) over 256 points,

@@ -13,6 +13,6 @@ pub mod table;
 pub use report::{ab_compare, baseline_gate_failures, read_numbers, time_secs, ScalingReport};
 pub use setup::{
     binary_task, feature_data, layer_circuit, mixed_pool_jobs, multiclass_task,
-    naive_feature_sweep, oversubscribed_batch, BinaryTask, MulticlassTask,
+    naive_feature_sweep, naive_shot_sweep, oversubscribed_batch, BinaryTask, MulticlassTask,
 };
 pub use table::TablePrinter;

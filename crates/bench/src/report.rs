@@ -35,6 +35,7 @@
 //! | `features_rows_per_s` | exact-backend feature rows per second over 400 rows (informational) |
 //! | `feature_reuse_speedup` | state-vector re-simulation per (row, shift) ÷ exact transfer-kernel rows (gated ↑) |
 //! | `features_shots_rows_per_s` | finite-shot backend feature rows per second (informational) |
+//! | `shots_rows_speedup` | per-neuron state-vector sampler ÷ Shots `generate` rows, 1 thread (gated ↑) |
 //! | `encode_batched_speedup` | pointwise ÷ batched SoA encode time, 1 thread (gated ↑) |
 //! | `encode_pointwise_rows_per_s` | one-point-at-a-time encoding throughput (informational) |
 //! | `encode_batched_rows_per_s` | batched SoA encoding throughput (informational) |

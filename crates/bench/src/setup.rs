@@ -6,7 +6,9 @@
 use hpcq::{CircuitJob, QpuConfig, QpuDevice};
 use pvqnn::features::FeatureGenerator;
 use qdata::{fashion_synthetic, preprocess_4x4, Dataset, FashionClass, SynthConfig};
-use qsim::{Circuit, Gate, StateVector};
+use qsim::{estimate_pauli_with_shots, Circuit, Gate, StateVector};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A dense rotation + entangler layer circuit on `n` qubits — the gate mix
 /// `exp_scaling`'s gate metrics apply.
@@ -49,6 +51,24 @@ pub fn naive_feature_sweep(generator: &FeatureGenerator, data: &[Vec<f64>]) -> f
             let s = StateVector::from_circuit(&generator.circuit_for(x, a));
             for o in obs {
                 acc += s.expectation(o);
+            }
+        }
+    }
+    acc
+}
+
+/// The state-vector reference for Shots rows: per (row, shift) one full
+/// circuit simulation, then per observable `shots` outcomes drawn from
+/// the state rotated into its eigenbasis (`estimate_pauli_with_shots`,
+/// the `hpcq` device's estimator). Returns the sum of the estimates.
+pub fn naive_shot_sweep(generator: &FeatureGenerator, data: &[Vec<f64>], shots: usize) -> f64 {
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut acc = 0.0;
+    for x in data {
+        for a in 0..generator.strategy().num_ansatze() {
+            let s = StateVector::from_circuit(&generator.circuit_for(x, a));
+            for o in generator.strategy().observables() {
+                acc += estimate_pauli_with_shots(&s, o, shots, &mut rng);
             }
         }
     }

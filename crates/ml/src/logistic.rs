@@ -184,15 +184,16 @@ fn solve_head(
     norm: impl Fn(&[f64]) -> f64,
 ) -> (LbfgsResult, f64) {
     let f = x.cols();
+    let objective = |mu: f64, p: &[f64], g: &mut [f64]| loss_grad(x, y, config.l2 + mu, p, g);
     let solve = |mu: f64, start: Vec<f64>| {
         Lbfgs {
             max_evals: config.epochs,
         }
-        .minimize(start, |p, g| loss_grad(x, y, config.l2 + mu, p, g))
+        .minimize(start, |p, g| objective(mu, p, g))
     };
     let free = solve(0.0, vec![0.0; f + 1]);
     match config.weight_ball {
-        Some(r) => fit_in_ball(free, r, f, norm, solve),
+        Some(r) => fit_in_ball(free, r, |p| norm(&p[..f]), solve, objective),
         None => (free, 0.0),
     }
 }
@@ -201,25 +202,32 @@ fn solve_head(
 /// constrained optimum minimises the objective plus (μ/2)‖w‖² for the
 /// smallest μ ≥ 0 whose minimiser lies in the ball, and that minimiser's
 /// norm falls as μ grows. Brackets μ by doubling, bisects it with
-/// warm-started solves, and returns the bracket's feasible end with its
+/// warm-started solves, and keeps the bracket's feasible end with its
 /// μ, so ‖w‖ ≤ r holds exactly.
+///
+/// Each solve stops at ‖∇‖∞ ≤ [`Lbfgs::GRAD_TOL`], which leaves that end
+/// about 1e-6 inside the ball while the optimum lies on its surface. A
+/// closing radial rescale puts ‖w‖ on r (to rounding, never above it)
+/// and is kept only if it does not raise the objective at μ = 0.
+/// `norm` measures the weights of a parameter vector; `objective(μ, p,
+/// g)` is the objective plus (μ/2)‖w‖², writing its gradient into `g`.
 fn fit_in_ball(
     free: LbfgsResult,
     r: f64,
-    f: usize,
     norm: impl Fn(&[f64]) -> f64,
     solve: impl Fn(f64, Vec<f64>) -> LbfgsResult,
+    objective: impl Fn(f64, &[f64], &mut [f64]) -> f64,
 ) -> (LbfgsResult, f64) {
     assert!(r > 0.0, "weight_ball radius must be positive");
-    let norm = |run: &LbfgsResult| norm(&run.x[..f]);
-    if norm(&free) <= r {
+    if norm(&free.x) <= r {
         return (free, 0.0);
     }
+    let f = free.x.len() - 1;
     let mut iterations = free.iterations;
     let (mut lo, mut hi) = (0.0, 1.0);
     let mut feasible = solve(hi, free.x);
     iterations += feasible.iterations;
-    while norm(&feasible) > r {
+    while norm(&feasible.x) > r {
         if hi > 1e18 {
             // Only an evaluation cap too small to move the weights gets
             // here: fall back to projecting onto the ball.
@@ -240,10 +248,30 @@ fn fit_in_ball(
         let mid = 0.5 * (lo + hi);
         let run = solve(mid, feasible.x.clone());
         iterations += run.iterations;
-        if norm(&run) <= r {
+        if norm(&run.x) <= r {
             (hi, feasible) = (mid, run);
         } else {
             lo = mid;
+        }
+    }
+    let inside = norm(&feasible.x);
+    if inside > 0.0 {
+        let mut onto = feasible.x.clone();
+        let mut scale = r / inside;
+        loop {
+            for (v, &w) in onto[..f].iter_mut().zip(&feasible.x[..f]) {
+                *v = w * scale;
+            }
+            if norm(&onto) <= r {
+                break;
+            }
+            scale *= 1.0 - f64::EPSILON;
+        }
+        let mut grad = vec![0.0; onto.len()];
+        if objective(0.0, &onto, &mut grad) <= objective(0.0, &feasible.x, &mut grad) {
+            feasible.value = objective(hi, &onto, &mut grad);
+            feasible.grad_norm_inf = norm_inf(&grad);
+            feasible.x = onto;
         }
     }
     (
@@ -646,11 +674,9 @@ mod tests {
         assert!(Presolve::detect(&x).is_none());
     }
 
-    /// Theorem 4's ball binds on a duplicated design: ‖w‖ ≤ r holds for
-    /// the full-width weights, near the full-width ball search. Each
-    /// multiplier solve stops at ‖∇‖∞ ≤ 1e-6, which leaves either path's
-    /// ‖w‖ about 1e-6 inside the surface, so the two objectives agree to
-    /// 1e-7 rather than to the 1e-9 of an unconstrained fit.
+    /// Theorem 4's ball binds on a duplicated design: the presolved
+    /// weights end on the surface, ‖w‖ = r to 1e-12, and their objective
+    /// agrees with the full-width ball search to 1e-9.
     #[test]
     fn weight_ball_binds_on_a_duplicated_design() {
         let (base, y) = blobs(100, 4);
@@ -663,21 +689,19 @@ mod tests {
         assert!(dot(free.weights(), free.weights()).sqrt() > 1.0);
         let model = LogisticRegression::fit(&x, &y, config);
         let norm = dot(model.weights(), model.weights()).sqrt();
-        assert!((1.0 - 1e-5..=1.0).contains(&norm), "‖w‖ = {norm}");
+        assert!((1.0 - 1e-12..=1.0).contains(&norm), "‖w‖ = {norm}");
 
-        let solve = |mu: f64, start: Vec<f64>| {
-            Lbfgs {
-                max_evals: config.epochs,
-            }
-            .minimize(start, |p, g| loss_grad(&x, &y, config.l2 + mu, p, g))
-        };
-        let free_run = solve(0.0, vec![0.0; 5]);
-        let (reference, _) = fit_in_ball(free_run, 1.0, 4, |w| dot(w, w).sqrt(), solve);
+        let (reference, _) = solve_head(&x, &y, config, |w| dot(w, w).sqrt());
+        let reference_norm = dot(&reference.x[..4], &reference.x[..4]).sqrt();
+        assert!(
+            (1.0 - 1e-12..=1.0).contains(&reference_norm),
+            "‖w‖ = {reference_norm}"
+        );
         let mut grad = vec![0.0; 5];
         let reference_objective = loss_grad(&x, &y, config.l2, &reference.x, &mut grad);
         let (objective, _) = model.objective(&x, &y);
         assert!(
-            (objective - reference_objective).abs() <= 1e-7,
+            (objective - reference_objective).abs() <= 1e-9,
             "presolved {objective} vs full width {reference_objective}"
         );
     }

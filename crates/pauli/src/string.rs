@@ -244,11 +244,6 @@ impl PauliString {
             -1.0
         }
     }
-
-    /// The letters of the string as a vector, index = qubit.
-    pub fn letters(&self) -> Vec<Pauli> {
-        (0..self.n).map(|k| self.get(k)).collect()
-    }
 }
 
 impl fmt::Display for PauliString {

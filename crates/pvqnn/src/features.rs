@@ -16,54 +16,45 @@
 //! `U_a† O_b U_a` as a sparse sum of Pauli strings; since the Fig. 7
 //! encoding prepares a product state, a row is that fixed sparse map
 //! applied to the per-qubit Bloch vectors of `S(x)|0ⁿ⟩` — no state vector
-//! at all. [`generate`](FeatureGenerator::generate),
-//! [`generate_one`](FeatureGenerator::generate_one) and
+//! at all. Every entry point calls the one row kernel
+//! `TransferPlan::row_into`, and the result equals the state-vector
+//! expectation to 1e-12.
+//!
+//! **Shots rows sample the exact row.** Proposition 1 models neuron `j`
+//! as the mean of `s` independent ±1 outcomes with expectation `e_j`, its
+//! exact value: each outcome is +1 with probability `(1 + e_j)/2`, so the
+//! mean is `(2B − s)/s` with `B ~ Binomial(s, (1 + e_j)/2)`, independently
+//! per neuron. A Shots row takes the transfer row and replaces each entry
+//! by such a draw, where `B` counts the uniforms `u_k < (1 + e_j)/2` among
+//! `s` draws, neuron by neuron in column order. That is the distribution
+//! of rotating the prepared state into the observable's eigenbasis and
+//! sampling it `s` times, without the state. The identity neuron
+//! (`e = 1`) returns exactly 1.
+//!
+//! **Shadows rows keep the state-vector path**, since a snapshot measures
+//! a prepared state: `S(x)|0ⁿ⟩` is built once per row through the fused
+//! [`EncodingPlan`] and cloned per ansatz shift, whose tail is bound,
+//! identity-elided and gate-fused once per generator ([`qsim::compile()`]).
+//!
+//! A stochastic row draws all its noise from one RNG seeded by its row
+//! index — [`generate`](FeatureGenerator::generate) passes the index in
+//! the data, [`generate_one`](FeatureGenerator::generate_one) and
 //! [`generate_rows_standalone`](FeatureGenerator::generate_rows_standalone)
-//! all call the one row kernel `TransferPlan::row_into`, so their rows
-//! agree bit for bit at any thread count. The result equals the
-//! state-vector expectation to 1e-12.
-//!
-//! The stochastic backends sample prepared states, so they keep the
-//! state-vector path (as does the `hpcq` device pool, which runs whole
-//! [`circuit_for`](FeatureGenerator::circuit_for) circuits):
-//!
-//! * the Fig. 7 encoding is executed through a fused
-//!   [`EncodingPlan`] — one dense 2×2 sweep per qubit instead of one per
-//!   gate — and whole blocks of data points encode together in an
-//!   amplitude-major [`qsim::BatchedStateVector`] (see [`ENCODE_BLOCK`]);
-//! * the per-shift ansatz tails are bound, identity-elided, and
-//!   **gate-fused** once per generator ([`qsim::compile()`]) and cached, so
-//!   every row replays compact [`CompiledCircuit`]s;
-//! * all shifts of one row are sampled **in a single pass** — one RNG per
-//!   row (instead of one per `(row, shift)` pair) and, for `Shots`, one
-//!   measurement rotation + CDF sampler per qubit-wise-commuting
-//!   observable group (`qsim::estimate_paulis_batched`), so sampler setup
-//!   is amortized across the shifts while every neuron still draws its
-//!   own independent shots (Proposition 1's estimator).
-//!
-//! Batched and per-point stochastic rows are **bit-for-bit identical**:
-//! the batch kernels evaluate the same arithmetic per lane, and each
-//! lane's RNG is seeded and consumed exactly as the standalone row would
-//! seed and consume it. The serving layer's "micro-batching never changes
-//! a prediction" guarantee is built on this.
+//! pass 0 — so every row is bit-for-bit the same whatever the batch or
+//! thread count that produced it. The serving layer's "micro-batching
+//! never changes a prediction" guarantee is built on this.
 
 use crate::encoding::{column_encoding, EncodingPlan};
 use crate::strategy::Strategy;
 use crate::transfer::TransferPlan;
 use linalg::Mat;
-use qsim::{estimate_paulis_batched, Circuit, CompiledCircuit, StateVector};
+use qsim::{Circuit, CompiledCircuit, StateVector};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
 use shadows::{ShadowEstimator, ShadowProtocol};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-
-/// Rows encoded together per batched simulation block of the stochastic
-/// backends: enough lanes to fill wide SIMD sweeps and amortize per-basis
-/// index math, small enough that a block of states stays cache-resident
-/// and chunk-level rayon parallelism still has work to steal.
-pub const ENCODE_BLOCK: usize = 32;
 
 /// How neuron expectations are estimated.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -72,8 +63,9 @@ pub enum FeatureBackend {
     /// Pauli-transfer plan (see the module docs).
     Exact,
     /// Independent finite-shot sample means, `shots` per neuron
-    /// (Proposition 1), drawn in one batched pass per row (rotations and
-    /// CDF samplers shared, shots not). Deterministic given `seed`.
+    /// (Proposition 1): each exact transfer-row entry `e` becomes
+    /// `(2B − shots)/shots` with `B ~ Binomial(shots, (1 + e)/2)`, one
+    /// Bernoulli count per neuron. Deterministic given `seed`.
     Shots {
         /// Measurement shots per (data point, neuron).
         shots: usize,
@@ -98,11 +90,12 @@ pub enum FeatureBackend {
 pub struct FeatureGenerator {
     strategy: Strategy,
     backend: FeatureBackend,
-    /// Stochastic backends: per-shift ansatz tails, bound + gate-fused
-    /// once on first use (`None` for shifts whose tail elides/fuses away
+    /// Shadows backend: per-shift ansatz tails, bound + gate-fused once
+    /// on first use (`None` for shifts whose tail elides/fuses away
     /// entirely).
     compiled_shifts: OnceLock<Arc<Vec<Option<CompiledCircuit>>>>,
-    /// Exact backend: the Pauli-transfer plan, built once on first use.
+    /// Exact and Shots backends: the Pauli-transfer plan, built once on
+    /// first use.
     transfer: OnceLock<Arc<TransferPlan>>,
     /// Cached [`Self::fingerprint`].
     fingerprint: OnceLock<u64>,
@@ -122,11 +115,19 @@ impl fmt::Debug for FeatureGenerator {
 }
 
 /// Derives a stream-independent seed for data row `i`. One RNG serves the
-/// whole row — consumed in fixed shift-then-observable order, so results
-/// stay deterministic for any thread count — instead of re-seeding per
-/// `(row, shift)` pair.
+/// whole row, consumed in column order, so results stay deterministic
+/// for any thread count.
 fn derive_row_seed(base: u64, i: usize) -> u64 {
     base ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x1656_67B1_9E37_79F9
+}
+
+/// Proposition 1's estimate of a neuron with exact value `e`: the mean of
+/// `shots` ±1 outcomes, `(2B − shots)/shots`, where `B` counts the draws
+/// `u < (1 + e)/2` — a Bernoulli count, one uniform per shot.
+fn shot_mean(e: f64, shots: usize, rng: &mut StdRng) -> f64 {
+    let p = 0.5 * (1.0 + e);
+    let hits = (0..shots).filter(|_| rng.random::<f64>() < p).count();
+    (2.0 * hits as f64 - shots as f64) / shots as f64
 }
 
 impl FeatureGenerator {
@@ -178,26 +179,23 @@ impl FeatureGenerator {
         c
     }
 
-    /// The exact backend's Pauli-transfer plan, built **once per
-    /// generator** and shared by every row ever fed through it (and by
-    /// its clones).
-    fn transfer(&self) -> Option<&TransferPlan> {
-        matches!(self.backend, FeatureBackend::Exact).then(|| {
-            &**self
-                .transfer
-                .get_or_init(|| Arc::new(TransferPlan::new(&self.strategy)))
-        })
+    /// The Pauli-transfer plan of the Exact and Shots backends, built
+    /// **once per generator** and shared by every row ever fed through it
+    /// (and by its clones).
+    fn transfer(&self) -> &TransferPlan {
+        self.transfer
+            .get_or_init(|| Arc::new(TransferPlan::new(&self.strategy)))
     }
 
-    /// The per-shift ansatz circuits of the stochastic backends, bound,
+    /// The per-shift ansatz circuits of the Shadows backend, bound,
     /// identity-elided, and gate-fused **once per generator** — they are
     /// shared by every data point ever fed through this generator, so the
     /// one-time [`qsim::compile`] pass amortizes across the whole
     /// workload. Shifts whose tail compiles to nothing (e.g. the
     /// all-zeros base shift) are `None`: the encoding state is measured
     /// directly.
-    fn compiled_shifts(&self) -> Arc<Vec<Option<CompiledCircuit>>> {
-        Arc::clone(self.compiled_shifts.get_or_init(|| {
+    fn compiled_shifts(&self) -> &[Option<CompiledCircuit>] {
+        self.compiled_shifts.get_or_init(|| {
             Arc::new(match self.strategy.ansatz() {
                 Some(ansatz) => self
                     .strategy
@@ -214,183 +212,76 @@ impl FeatureGenerator {
                     .collect(),
                 None => vec![None; self.strategy.num_ansatze()],
             })
-        }))
+        })
     }
 
-    /// The base seed of a stochastic backend.
-    fn seed(&self) -> u64 {
+    /// The feature row of point `x` as data row `i` (the seed of its shot
+    /// or snapshot noise), written into `out`.
+    fn row_into(&self, i: usize, x: &[f64], out: &mut [f64]) {
         match self.backend {
-            FeatureBackend::Shots { seed, .. } | FeatureBackend::Shadows { seed, .. } => seed,
-            FeatureBackend::Exact => unreachable!("exact rows go through the transfer plan"),
-        }
-    }
-
-    /// One stochastic feature row: the encoding state `S(x)|0⟩` is built
-    /// **once** through the fused [`EncodingPlan`] and then
-    /// cloned-and-extended per compiled ansatz shift, and all shifts are
-    /// sampled in one pass through a single row-level RNG.
-    fn row_for(&self, i: usize, x: &[f64], shifts: &[Option<CompiledCircuit>]) -> Vec<f64> {
-        let m = self.strategy.num_neurons();
-        let q = self.strategy.num_observables();
-        let n = self.strategy.num_qubits();
-        let mut row = vec![0.0; m];
-        let encoded = EncodingPlan::new(x.len(), n).encode_one(x);
-        let mut rng = StdRng::seed_from_u64(derive_row_seed(self.seed(), i));
-        for (a, shifted) in shifts.iter().enumerate() {
-            let out = &mut row[a * q..(a + 1) * q];
-            match shifted {
-                Some(cc) => {
-                    let mut state = encoded.clone();
-                    state.apply_compiled(cc);
-                    self.fill_observables(&state, &mut rng, out);
+            FeatureBackend::Exact => self.transfer().row_into(x, out),
+            FeatureBackend::Shots { shots, seed } => {
+                assert!(shots > 0, "need at least one shot");
+                self.transfer().row_into(x, out);
+                let mut rng = StdRng::seed_from_u64(derive_row_seed(seed, i));
+                for e in out.iter_mut() {
+                    *e = shot_mean(*e, shots, &mut rng);
                 }
-                // No ansatz (observable construction) or a fully-fused-
-                // away shift (the all-zeros base circuit): measure S(x)|0⟩.
-                None => self.fill_observables(&encoded, &mut rng, out),
             }
-        }
-        row
-    }
-
-    /// Stochastic feature rows for a block of points that share one
-    /// feature length: the whole block encodes in one amplitude-major
-    /// [`qsim::BatchedStateVector`] pass, each compiled shift applies to
-    /// all lanes at once, and lane `l` is measured with its own RNG seeded
-    /// by `indices[l]` and consumed in ascending shift order — exactly the
-    /// seeding and consumption order [`Self::row_for`] uses, so each row
-    /// is bit-for-bit what the per-point path would have produced.
-    fn rows_for_block(
-        &self,
-        indices: &[usize],
-        xs: &[&[f64]],
-        shifts: &[Option<CompiledCircuit>],
-    ) -> Vec<Vec<f64>> {
-        debug_assert_eq!(indices.len(), xs.len());
-        let m = self.strategy.num_neurons();
-        let q = self.strategy.num_observables();
-        let n = self.strategy.num_qubits();
-        let encoded = EncodingPlan::new(xs[0].len(), n).encode_batch(xs);
-        let mut rngs: Vec<StdRng> = indices
-            .iter()
-            .map(|&i| StdRng::seed_from_u64(derive_row_seed(self.seed(), i)))
-            .collect();
-        let mut rows = vec![vec![0.0; m]; xs.len()];
-        for (a, shifted) in shifts.iter().enumerate() {
-            match shifted {
-                Some(cc) => {
-                    let mut batch = encoded.clone();
-                    batch.apply_compiled(cc);
-                    for (l, row) in rows.iter_mut().enumerate() {
-                        self.fill_observables(
-                            &batch.lane(l),
-                            &mut rngs[l],
-                            &mut row[a * q..(a + 1) * q],
-                        );
-                    }
-                }
-                None => {
-                    for (l, row) in rows.iter_mut().enumerate() {
-                        self.fill_observables(
-                            &encoded.lane(l),
-                            &mut rngs[l],
-                            &mut row[a * q..(a + 1) * q],
-                        );
+            FeatureBackend::Shadows {
+                snapshots,
+                groups,
+                seed,
+            } => {
+                let encoded = EncodingPlan::new(x.len(), self.strategy.num_qubits()).encode_one(x);
+                let mut rng = StdRng::seed_from_u64(derive_row_seed(seed, i));
+                let protocol = ShadowProtocol::new(snapshots, 0);
+                let mut estimate = |state: &StateVector, out: &mut [f64]| {
+                    let est =
+                        ShadowEstimator::new(protocol.acquire_with_rng(state, &mut rng), groups);
+                    out.copy_from_slice(&est.estimate_many(self.strategy.observables()));
+                };
+                let q = self.strategy.num_observables();
+                for (shifted, out) in self.compiled_shifts().iter().zip(out.chunks_exact_mut(q)) {
+                    match shifted {
+                        Some(cc) => {
+                            let mut state = encoded.clone();
+                            state.apply_compiled(cc);
+                            estimate(&state, out);
+                        }
+                        // No ansatz (observable construction) or a fully-
+                        // fused-away shift (the all-zeros base circuit):
+                        // measure S(x)|0⟩.
+                        None => estimate(&encoded, out),
                     }
                 }
             }
         }
-        rows
-    }
-
-    /// Splits a chunk into consecutive runs of equal feature length (a
-    /// [`rows_for_block`](Self::rows_for_block) needs one shared encoding
-    /// shape) and concatenates the runs' rows in order.
-    fn rows_for_chunk(
-        &self,
-        indices: &[usize],
-        xs: &[&[f64]],
-        shifts: &[Option<CompiledCircuit>],
-    ) -> Vec<Vec<f64>> {
-        let mut out = Vec::with_capacity(xs.len());
-        let mut start = 0;
-        while start < xs.len() {
-            let mut end = start + 1;
-            while end < xs.len() && xs[end].len() == xs[start].len() {
-                end += 1;
-            }
-            out.extend(self.rows_for_block(&indices[start..end], &xs[start..end], shifts));
-            start = end;
-        }
-        out
     }
 
     /// Generates the `d × m` feature matrix `Q` for the given data rows
     /// (each row is a `[0, 2π)` feature vector, length a multiple of the
-    /// qubit count). Exact rows are written straight into `Q` by the
-    /// transfer kernel, fanned out over rows; stochastic rows encode in
-    /// batched blocks of [`ENCODE_BLOCK`]. The result is deterministic
-    /// for stochastic backends and independent of both the thread count
-    /// and the blocking — each row is bit-for-bit the row the per-point
-    /// path computes.
+    /// qubit count), fanned out over rows and written straight into `Q`.
+    /// Stochastic rows are seeded by their row index, so the result is
+    /// deterministic and independent of the thread count.
     pub fn generate(&self, data: &[Vec<f64>]) -> Mat {
         assert!(!data.is_empty(), "no data rows");
-        if let Some(plan) = self.transfer() {
-            let m = plan.num_features();
-            let mut q = Mat::zeros(data.len(), m);
-            q.data_mut()
-                .par_chunks_mut(m)
-                .zip(data.par_iter())
-                .for_each(|(out, x)| plan.row_into(x, out));
-            return q;
-        }
-        let shifts = self.compiled_shifts();
-        let blocks: Vec<Vec<Vec<f64>>> = data
-            .par_chunks(ENCODE_BLOCK)
+        let m = self.strategy.num_neurons();
+        let mut q = Mat::zeros(data.len(), m);
+        q.data_mut()
+            .par_chunks_mut(m)
+            .zip(data.par_iter())
             .enumerate()
-            .map(|(ci, chunk)| {
-                let refs: Vec<&[f64]> = chunk.iter().map(Vec::as_slice).collect();
-                let base = ci * ENCODE_BLOCK;
-                let indices: Vec<usize> = (base..base + chunk.len()).collect();
-                self.rows_for_chunk(&indices, &refs, &shifts)
-            })
-            .collect();
-        let rows: Vec<Vec<f64>> = blocks.into_iter().flatten().collect();
-        Mat::from_rows(&rows)
-    }
-
-    /// Estimates all observables of one prepared state into `out`,
-    /// drawing the shot noise from the row-level RNG.
-    fn fill_observables(&self, state: &StateVector, rng: &mut StdRng, out: &mut [f64]) {
-        let obs = self.strategy.observables();
-        match self.backend {
-            FeatureBackend::Shots { shots, .. } => {
-                // One rotation + CDF sampler per commuting observable
-                // group; every neuron still draws its own `shots`.
-                out.copy_from_slice(&estimate_paulis_batched(state, obs, shots, rng));
-            }
-            FeatureBackend::Shadows {
-                snapshots, groups, ..
-            } => {
-                let protocol = ShadowProtocol::new(snapshots, 0);
-                let est = ShadowEstimator::new(protocol.acquire_with_rng(state, rng), groups);
-                let values = est.estimate_many(obs);
-                out.copy_from_slice(&values);
-            }
-            FeatureBackend::Exact => unreachable!("exact rows go through the transfer plan"),
-        }
+            .for_each(|(i, (out, x))| self.row_into(i, x, out));
+        q
     }
 
     /// Convenience: generate features for a single sample — the row is
     /// produced directly, with no intermediate data copy or matrix.
     pub fn generate_one(&self, x: &[f64]) -> Vec<f64> {
-        match self.transfer() {
-            Some(plan) => {
-                let mut row = vec![0.0; plan.num_features()];
-                plan.row_into(x, &mut row);
-                row
-            }
-            None => self.row_for(0, x, &self.compiled_shifts()),
-        }
+        let mut row = vec![0.0; self.strategy.num_neurons()];
+        self.row_into(0, x, &mut row);
+        row
     }
 
     /// One feature row per input, each seeded exactly like a standalone
@@ -398,30 +289,14 @@ impl FeatureGenerator {
     /// on its own data point, never on where it sits in the batch. This
     /// is the batch entry point for online inference: the serving layer
     /// coalesces concurrent single requests into micro-batches and caches
-    /// rows by input, which is only sound when the batched row is
-    /// bit-for-bit the row a lone request would have produced — which
-    /// holds because exact rows share one row kernel and the stochastic
-    /// batched kernels are bit-identical per lane.
+    /// rows by input, which is only sound because the batched row is
+    /// bit-for-bit the row a lone request would have produced.
     ///
     /// Contrast [`Self::generate`], which seeds stochastic backends per
     /// row *index* — right for training datasets (independent noise per
     /// sample), wrong for a cache keyed on the input alone.
     pub fn generate_rows_standalone(&self, xs: &[&[f64]]) -> Vec<Vec<f64>> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        if self.transfer().is_some() {
-            return xs.par_iter().map(|x| self.generate_one(x)).collect();
-        }
-        let shifts = self.compiled_shifts();
-        let blocks: Vec<Vec<Vec<f64>>> = xs
-            .par_chunks(ENCODE_BLOCK)
-            .map(|chunk| {
-                let indices = vec![0usize; chunk.len()];
-                self.rows_for_chunk(&indices, chunk, &shifts)
-            })
-            .collect();
-        blocks.into_iter().flatten().collect()
+        xs.par_iter().map(|x| self.generate_one(x)).collect()
     }
 }
 
@@ -430,7 +305,7 @@ mod tests {
     use super::*;
     use crate::ansatz::fig8_ansatz;
     use crate::strategy::Strategy;
-    use qsim::{Gate, ParamCircuit, RotAxis};
+    use qsim::{estimate_pauli_with_shots, Gate, ParamCircuit, RotAxis};
 
     fn toy_data(d: usize) -> Vec<Vec<f64>> {
         (0..d)
@@ -546,8 +421,22 @@ mod tests {
         let generator = FeatureGenerator::new(s, FeatureBackend::Exact);
         let data = toy_data(3);
         let q = generator.generate(&data);
-        let one = generator.generate_one(&data[1]);
-        assert_eq!(q.row(1), &one[..]);
+        for (i, x) in data.iter().enumerate() {
+            assert_eq!(q.row(i), &generator.generate_one(x)[..], "row {i}");
+        }
+    }
+
+    #[test]
+    fn generate_spanning_multiple_blocks_matches_per_point() {
+        // Enough rows that the parallel fan-out splits them across many
+        // work chunks; exact rows must still equal generate_one per point.
+        let s = Strategy::observable_construction(4, 1);
+        let generator = FeatureGenerator::new(s, FeatureBackend::Exact);
+        let data = toy_data(35);
+        let q = generator.generate(&data);
+        for (i, x) in data.iter().enumerate() {
+            assert_eq!(q.row(i), &generator.generate_one(x)[..], "row {i}");
+        }
     }
 
     #[test]
@@ -575,12 +464,10 @@ mod tests {
 
     #[test]
     fn batched_generate_bit_identical_across_thread_counts() {
-        // Batched rows must be bit-for-bit the per-point rows at 1, 2 and
-        // 4 threads. generate_one is the per-point reference; for the
-        // exact backend every entry point runs the same transfer row, and
-        // for shots generate_rows_standalone goes through the SoA block
-        // path (generate seeds shots by row index, so only the exact
-        // backend's generate rows equal generate_one's).
+        // generate_one is the per-point reference: standalone rows equal
+        // it at 1, 2 and 4 threads for both backends, and so do exact
+        // generate rows. Shots generate rows are seeded by row index
+        // instead, so they must equal the 1-thread generate.
         for backend in [
             FeatureBackend::Exact,
             FeatureBackend::Shots {
@@ -589,18 +476,122 @@ mod tests {
             },
         ] {
             let generator = FeatureGenerator::new(Strategy::hybrid(fig8_ansatz(4), 1, 1), backend);
-            let data = toy_data(ENCODE_BLOCK + 5);
+            let data = toy_data(37);
             let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
             let reference: Vec<Vec<f64>> = refs.iter().map(|x| generator.generate_one(x)).collect();
+            let serial = rayon::with_num_threads(1, || generator.generate(&data));
+            if backend == FeatureBackend::Exact {
+                for (i, row) in reference.iter().enumerate() {
+                    assert_eq!(serial.row(i), &row[..], "row {i}");
+                }
+            }
             for threads in [1, 2, 4] {
                 let rows =
                     rayon::with_num_threads(threads, || generator.generate_rows_standalone(&refs));
                 assert_eq!(rows, reference, "{backend:?}, threads = {threads}");
-                if backend == FeatureBackend::Exact {
-                    let q = rayon::with_num_threads(threads, || generator.generate(&data));
-                    for (i, row) in reference.iter().enumerate() {
-                        assert_eq!(q.row(i), &row[..], "threads = {threads}, row {i}");
+                let q = rayon::with_num_threads(threads, || generator.generate(&data));
+                assert_eq!(q.data(), serial.data(), "{backend:?}, threads = {threads}");
+            }
+        }
+    }
+
+    /// The Shots tests' cases, both with the identity neuron in column 0:
+    /// a Table III strategy (every neuron one string) and one off-grid
+    /// shift of the Fig. 8 ansatz (multi-string neurons).
+    fn shot_cases() -> [Strategy; 2] {
+        let ansatz = fig8_ansatz(4);
+        let shift = (0..ansatz.num_params())
+            .map(|i| 0.3 + 0.41 * i as f64)
+            .collect();
+        [
+            Strategy::observable_construction(4, 1),
+            Strategy::hybrid(ansatz, 1, 1).with_shifts(vec![shift]),
+        ]
+    }
+
+    /// `rows` Shots rows of one point, each seeded by its row index, and
+    /// the point's exact row.
+    fn shot_rows(s: &Strategy, shots: usize, seed: u64, rows: usize) -> (Mat, Vec<f64>) {
+        let x = toy_data(1).remove(0);
+        let exact = FeatureGenerator::new(s.clone(), FeatureBackend::Exact).generate_one(&x);
+        let generator = FeatureGenerator::new(s.clone(), FeatureBackend::Shots { shots, seed });
+        (generator.generate(&vec![x; rows]), exact)
+    }
+
+    #[test]
+    fn shots_rows_have_the_binomial_moments() {
+        // Entry j of a Shots row is (2B − s)/s with B ~ Binomial(s, p),
+        // p = (1 + e)/2: mean e and variance (1 − e²)/s. Over N rows the
+        // sample mean is within 3σ/√N of e, and the sample variance
+        // within 3 standard errors, σ²·√((2 + κ)/N) with κ the excess
+        // kurtosis (1 − 6pq)/(s·pq) of a Binomial mean.
+        let (shots, rows) = (16, 4000);
+        for s in shot_cases() {
+            let (q, exact) = shot_rows(&s, shots, 2027, rows);
+            assert_eq!(exact[0], 1.0);
+            for (j, &e) in exact.iter().enumerate() {
+                let column: Vec<f64> = (0..rows).map(|i| q[(i, j)]).collect();
+                if e == 1.0 {
+                    assert!(column.iter().all(|&v| v == 1.0), "identity column {j}");
+                    continue;
+                }
+                let n = rows as f64;
+                let mean = column.iter().sum::<f64>() / n;
+                let var = column.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
+                let sigma2 = (1.0 - e * e) / shots as f64;
+                assert!(
+                    (mean - e).abs() <= 3.0 * (sigma2 / n).sqrt(),
+                    "column {j}: mean {mean} vs e = {e}"
+                );
+                let pq = (1.0 - e * e) / 4.0;
+                let kurtosis = (1.0 - 6.0 * pq) / (shots as f64 * pq);
+                assert!(
+                    (var - sigma2).abs() <= 3.0 * sigma2 * ((2.0 + kurtosis) / n).sqrt(),
+                    "column {j}: variance {var} vs {sigma2}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shot_counts_match_the_state_vector_sampler() {
+        // Two-sample χ² at α = 0.001: per neuron, the counts B of N Shots
+        // rows against N counts from the state-vector sampler (rotate
+        // U_a S(x)|0⟩ into O_b's eigenbasis, draw s outcomes). Bins are
+        // pooled left to right until each holds ≥ 10 of the 2N counts; a
+        // short tail joins the last bin.
+        let (shots, rows) = (8, 2000);
+        let count = |v: f64| ((v + 1.0) * shots as f64 / 2.0).round() as usize;
+        let mut rng = StdRng::seed_from_u64(12);
+        for s in shot_cases() {
+            let (q, _) = shot_rows(&s, shots, 11, rows);
+            let x = toy_data(1).remove(0);
+            let generator = FeatureGenerator::new(s.clone(), FeatureBackend::Exact);
+            for a in 0..s.num_ansatze() {
+                let state = StateVector::from_circuit(&generator.circuit_for(&x, a));
+                for (b, o) in s.observables().iter().enumerate().skip(1) {
+                    let j = s.column_of(a, b);
+                    let mut hist = vec![(0.0, 0.0); shots + 1];
+                    for i in 0..rows {
+                        hist[count(q[(i, j)])].0 += 1.0;
+                        let reference = estimate_pauli_with_shots(&state, o, shots, &mut rng);
+                        hist[count(reference)].1 += 1.0;
                     }
+                    let (mut bins, mut pool) = (Vec::new(), (0.0, 0.0));
+                    for (u, v) in hist {
+                        pool = (pool.0 + u, pool.1 + v);
+                        if pool.0 + pool.1 >= 10.0 {
+                            bins.push(std::mem::take(&mut pool));
+                        }
+                    }
+                    let last = bins.last_mut().expect("2N ≥ 10 counts");
+                    *last = (last.0 + pool.0, last.1 + pool.1);
+                    let stat: f64 = bins.iter().map(|(u, v)| (u - v) * (u - v) / (u + v)).sum();
+                    // Wilson–Hilferty: the χ² quantile at z = 3.09.
+                    let df = (bins.len() - 1).max(1) as f64;
+                    let h = 2.0 / (9.0 * df);
+                    let critical = df * (1.0 - h + 3.09 * h.sqrt()).powi(3);
+                    assert!(stat <= critical, "{o} (column {j}): χ² {stat} > {critical}");
                 }
             }
         }
@@ -680,8 +671,8 @@ mod tests {
 
     #[test]
     fn generate_handles_mixed_feature_lengths() {
-        // Blocks split into runs of equal feature length; rows of either
-        // length must match their standalone counterparts exactly.
+        // Rows of either feature length must match their standalone
+        // counterparts exactly.
         let s = Strategy::observable_construction(4, 1);
         let generator = FeatureGenerator::new(s, FeatureBackend::Exact);
         let mut data = toy_data(2);
@@ -689,19 +680,6 @@ mod tests {
         data.push((0..16).map(|j| 0.2 + 0.05 * j as f64).collect());
         let q = generator.generate(&data);
         for (i, x) in data.iter().enumerate() {
-            assert_eq!(q.row(i), &generator.generate_one(x)[..], "row {i}");
-        }
-    }
-
-    #[test]
-    fn generate_spanning_multiple_blocks_matches_per_point() {
-        // More rows than ENCODE_BLOCK forces multi-chunk fan-out; exact
-        // backend rows must still equal generate_one per point.
-        let s = Strategy::observable_construction(4, 1);
-        let generator = FeatureGenerator::new(s, FeatureBackend::Exact);
-        let data = toy_data(ENCODE_BLOCK + 3);
-        let q = generator.generate(&data);
-        for (i, x) in data.iter().enumerate().step_by(7) {
             assert_eq!(q.row(i), &generator.generate_one(x)[..], "row {i}");
         }
     }

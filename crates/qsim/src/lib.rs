@@ -10,11 +10,18 @@
 //! * [`ParamCircuit`] — circuits with named parameter slots (for ansätze and
 //!   parameter-shift grids),
 //! * [`StateVector`] — amplitudes plus serial/rayon-parallel gate kernels,
-//!   Pauli expectations, inner products, and computational-basis sampling,
+//!   Pauli expectations and inner products,
+//! * [`sample`] — computational-basis sampling and
+//!   [`estimate_pauli_with_shots`], Proposition 1's finite-shot estimator
+//!   (what the `hpcq` devices measure with, and the reference `pvqnn`'s
+//!   Shots rows are tested against),
 //! * [`compile()`] — a one-time gate-fusion pass producing a
-//!   [`CompiledCircuit`] that executes in far fewer amplitude sweeps,
+//!   [`CompiledCircuit`] that executes in far fewer amplitude sweeps
+//!   (`pvqnn`'s Shadows rows replay compiled ansatz shifts),
 //! * [`BatchedStateVector`] — amplitude-major SoA simulation of many
-//!   states at once, bit-for-bit equal per lane to the standalone kernels,
+//!   states at once, bit-for-bit equal per lane to the standalone kernels
+//!   (behind `pvqnn::EncodingPlan::encode_batch`; no feature backend runs
+//!   it),
 //! * [`noise`] — stochastic (trajectory) depolarizing and readout noise for
 //!   NISQ realism,
 //! * [`render`] — ASCII circuit diagrams (Figs. 7–8 of the paper are
@@ -40,10 +47,7 @@ pub use compile::{compile, identity2, matmul2, matmul4, CompiledCircuit, FusedOp
 pub use density::DensityMatrix;
 pub use gate::Gate;
 pub use noise::NoiseModel;
-pub use sample::{
-    estimate_pauli_with_shots, estimate_paulis_batched, measurement_group_count,
-    measurement_rotation, sample_counts, CdfSampler,
-};
+pub use sample::{estimate_pauli_with_shots, measurement_rotation};
 pub use state::{BatchedStateVector, StateVector};
 
 /// Complex amplitude type used throughout the simulator.

@@ -3,29 +3,26 @@
 //! The paper's error analysis (§VI, Proposition 1) models each quantum
 //! neuron's output as a sample mean of ±1-valued measurements. This module
 //! provides exactly that estimator: rotate the state into the observable's
-//! eigenbasis, draw shots, average the eigenvalue signs.
+//! eigenbasis, draw shots, average the eigenvalue signs. The `hpcq`
+//! devices measure through it; `pvqnn`'s Shots backend draws the same
+//! distribution straight from each neuron's exact value.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
 use crate::state::StateVector;
 use pauli::{Pauli, PauliString};
 use rand::{Rng, RngExt};
-use std::collections::HashMap;
 
-/// A reusable inverse-CDF sampler over a state's outcome distribution.
-///
-/// Building one costs `O(2^n)` (the cumulative table — the alias-table
-/// analogue of this codebase); each [`draw`](Self::draw) is then
-/// `O(log 2^n)`. Splitting setup from drawing lets one table be amortized
-/// over many **independent** shot batches — the batched feature backends
-/// draw a separate batch per observable from one rotated state.
-pub struct CdfSampler {
+/// An inverse-CDF sampler over a state's outcome distribution: building
+/// one costs `O(2^n)` (the cumulative table), each [`draw`](Self::draw)
+/// `O(log 2^n)`.
+struct CdfSampler {
     cdf: Vec<f64>,
 }
 
 impl CdfSampler {
     /// Builds the cumulative outcome table of `state`.
-    pub fn new(state: &StateVector) -> Self {
+    fn new(state: &StateVector) -> Self {
         let mut cdf = state.probabilities();
         let mut acc = 0.0;
         for p in cdf.iter_mut() {
@@ -41,7 +38,7 @@ impl CdfSampler {
 
     /// Draws one basis-state sample.
     #[inline]
-    pub fn draw<R: Rng>(&self, rng: &mut R) -> u64 {
+    fn draw<R: Rng>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.random();
         // partition_point returns the first index with cdf[i] >= u.
         self.cdf.partition_point(|&c| c < u) as u64
@@ -53,19 +50,6 @@ impl CdfSampler {
 pub fn sample_bitstrings<R: Rng>(state: &StateVector, shots: usize, rng: &mut R) -> Vec<u64> {
     let sampler = CdfSampler::new(state);
     (0..shots).map(|_| sampler.draw(rng)).collect()
-}
-
-/// Histogram of sampled outcomes.
-pub fn sample_counts<R: Rng>(
-    state: &StateVector,
-    shots: usize,
-    rng: &mut R,
-) -> HashMap<u64, usize> {
-    let mut counts = HashMap::new();
-    for b in sample_bitstrings(state, shots, rng) {
-        *counts.entry(b).or_insert(0) += 1;
-    }
-    counts
 }
 
 /// The basis-change circuit that maps the eigenbasis of Pauli string `p`
@@ -107,191 +91,11 @@ pub fn estimate_pauli_with_shots<R: Rng>(
     sum / shots as f64
 }
 
-/// Greedily groups strings by qubit-wise-commuting measurement basis in
-/// the canonical sorted order ([`sorted_basis_order`]) — the grouping
-/// both estimation entry points share, so a family costs the same number
-/// of distinct rotations whether it is estimated with shared or
-/// independent shots, and the grouping is permutation-invariant.
-///
-/// Group key: per-qubit basis letter (X/Y/Z or wildcard I). Two strings
-/// can share a group when on every qubit they agree or one is I. Returns
-/// each group's merged basis and the member indices into `paulis`.
-fn group_canonical(paulis: &[PauliString]) -> Vec<(Vec<Pauli>, Vec<usize>)> {
-    group_by_basis_in(paulis, &sorted_basis_order(paulis))
-}
-
-/// Greedy grouping considering the strings in the order given by
-/// `order` (a permutation of `0..paulis.len()`); member indices still
-/// refer to positions in `paulis`.
-fn group_by_basis_in(paulis: &[PauliString], order: &[usize]) -> Vec<(Vec<Pauli>, Vec<usize>)> {
-    let Some(first) = paulis.first() else {
-        return Vec::new();
-    };
-    let n = first.num_qubits();
-    let mut groups: Vec<(Vec<Pauli>, Vec<usize>)> = Vec::new();
-    'outer: for &idx in order {
-        let p = &paulis[idx];
-        assert_eq!(p.num_qubits(), n);
-        for (basis, members) in groups.iter_mut() {
-            let mut merged = basis.clone();
-            let mut ok = true;
-            for q in 0..n {
-                let letter = p.get(q);
-                if letter == Pauli::I {
-                    continue;
-                }
-                if merged[q] == Pauli::I {
-                    merged[q] = letter;
-                } else if merged[q] != letter {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                *basis = merged;
-                members.push(idx);
-                continue 'outer;
-            }
-        }
-        groups.push((p.letters(), vec![idx]));
-    }
-    groups
-}
-
-/// Collation rank for grouping: concrete letters first (so strings with
-/// the same explicit basis become adjacent), the I wildcard last — an
-/// early I-heavy string would otherwise merge into whichever group came
-/// first and poison it for later concrete strings.
-fn basis_rank(letter: Pauli) -> u8 {
-    match letter {
-        Pauli::X => 0,
-        Pauli::Y => 1,
-        Pauli::Z => 2,
-        Pauli::I => 3,
-    }
-}
-
-/// The canonical grouping order: indices of `paulis` sorted by per-qubit
-/// basis letter ([`basis_rank`], lexicographic). Distinct strings get
-/// distinct keys, so the order — and therefore the greedy grouping and
-/// every observable's RNG stream in [`estimate_paulis_batched`] — is
-/// invariant under permutations of the input family.
-fn sorted_basis_order(paulis: &[PauliString]) -> Vec<usize> {
-    let n = paulis.first().map_or(0, PauliString::num_qubits);
-    let mut order: Vec<usize> = (0..paulis.len()).collect();
-    order.sort_by(|&a, &b| {
-        for q in 0..n {
-            let ord = basis_rank(paulis[a].get(q)).cmp(&basis_rank(paulis[b].get(q)));
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    order
-}
-
-/// Number of qubit-wise-commuting measurement groups
-/// [`estimate_paulis_batched`] will rotate into for this family — i.e.
-/// the number of distinct circuit preparations a finite-shot estimation
-/// pass costs. Uses the canonical sorted order, so the count is
-/// permutation-invariant.
-pub fn measurement_group_count(paulis: &[PauliString]) -> usize {
-    group_canonical(paulis).len()
-}
-
-/// Finite-shot estimates for several Pauli strings sharing one prepared
-/// state. Observables are grouped by their measurement rotation so strings
-/// that are diagonal in the same basis share shots — `qubit-wise
-/// commuting` grouping, the standard measurement-reduction trick.
-///
-/// Grouping uses the same canonical basis sort as
-/// [`estimate_paulis_batched`] (this estimator shares shots within a
-/// group, so it has no per-observable RNG-stream-compat constraint):
-/// shuffled mixed families collapse into [`measurement_group_count`]
-/// groups instead of whatever fragmentation the input order produces,
-/// and the group structure is invariant under family permutations.
-pub fn estimate_paulis_grouped<R: Rng>(
-    state: &StateVector,
-    paulis: &[PauliString],
-    shots_per_group: usize,
-    rng: &mut R,
-) -> Vec<f64> {
-    let mut out = vec![0.0; paulis.len()];
-    for (basis, members) in group_canonical(paulis) {
-        let basis_string = PauliString::from_letters(&basis);
-        let mut rotated = state.clone();
-        rotated.apply_circuit(&measurement_rotation(&basis_string));
-        let outcomes = sample_bitstrings(&rotated, shots_per_group, rng);
-        for &idx in &members {
-            let p = &paulis[idx];
-            if p.is_identity() {
-                out[idx] = 1.0;
-                continue;
-            }
-            let sum: f64 = outcomes.iter().map(|&b| p.outcome_sign(b)).sum();
-            out[idx] = sum / shots_per_group as f64;
-        }
-    }
-    out
-}
-
-/// **Independent** per-observable shot estimates with amortized setup —
-/// the batched form of [`estimate_pauli_with_shots`].
-///
-/// Observables are grouped by qubit-wise-commuting measurement basis —
-/// after a canonical sort by basis letters ([`measurement_group_count`]),
-/// so large mixed families collapse into fewer groups than greedy
-/// input-order assembly would find, and the grouping (hence each
-/// observable's RNG stream) is invariant under permutations of the
-/// family. The state is rotated and its [`CdfSampler`] built once per
-/// *group*, and each member then draws its own independent `shots`
-/// outcomes from the shared table. Statistically this is exactly
-/// Proposition 1's per-neuron sample-mean estimator (no shot sharing
-/// between observables — contrast [`estimate_paulis_grouped`]); only the
-/// repeated rotation + CDF setup is eliminated. The identity string
-/// returns exactly 1 without spending shots.
-pub fn estimate_paulis_batched<R: Rng>(
-    state: &StateVector,
-    paulis: &[PauliString],
-    shots: usize,
-    rng: &mut R,
-) -> Vec<f64> {
-    assert!(shots > 0, "need at least one shot");
-    let mut out = vec![0.0; paulis.len()];
-    for (basis, members) in group_canonical(paulis) {
-        let basis_string = PauliString::from_letters(&basis);
-        let mut rotated = state.clone();
-        rotated.apply_circuit(&measurement_rotation(&basis_string));
-        let sampler = CdfSampler::new(&rotated);
-        for &idx in &members {
-            let p = &paulis[idx];
-            if p.is_identity() {
-                out[idx] = 1.0;
-                continue;
-            }
-            let mut sum = 0.0;
-            for _ in 0..shots {
-                sum += p.outcome_sign(sampler.draw(rng));
-            }
-            out[idx] = sum / shots as f64;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// The pre-canonical-sort behaviour (greedy grouping in input order),
-    /// kept here as the baseline the sorted grouping is pinned against.
-    fn group_input_order(paulis: &[PauliString]) -> Vec<(Vec<Pauli>, Vec<usize>)> {
-        let order: Vec<usize> = (0..paulis.len()).collect();
-        group_by_basis_in(paulis, &order)
-    }
 
     #[test]
     fn sampling_matches_distribution() {
@@ -300,8 +104,11 @@ mod tests {
         let s = StateVector::from_circuit(&c);
         let mut rng = StdRng::seed_from_u64(7);
         let shots = 200_000;
-        let counts = sample_counts(&s, shots, &mut rng);
-        let p1 = *counts.get(&1).unwrap_or(&0) as f64 / shots as f64;
+        let ones = sample_bitstrings(&s, shots, &mut rng)
+            .into_iter()
+            .filter(|&b| b == 1)
+            .count();
+        let p1 = ones as f64 / shots as f64;
         let want = (0.5f64).sin().powi(2);
         assert!((p1 - want).abs() < 5e-3, "p1={p1} want={want}");
     }
@@ -357,68 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_estimation_matches_individual() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::Ry(0, 0.9));
-        c.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        let s = StateVector::from_circuit(&c);
-        let paulis: Vec<PauliString> = ["ZI", "IZ", "ZZ", "XX", "XI"]
-            .iter()
-            .map(|t| PauliString::parse(t).unwrap())
-            .collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        let ests = estimate_paulis_grouped(&s, &paulis, 60_000, &mut rng);
-        for (p, est) in paulis.iter().zip(ests.iter()) {
-            let exact = s.expectation(p);
-            assert!((exact - est).abs() < 3e-2, "{p}: exact={exact} est={est}");
-        }
-    }
-
-    #[test]
-    fn batched_estimation_matches_exact_statistically() {
-        let mut c = Circuit::new(3);
-        c.push(Gate::Ry(0, 0.8));
-        c.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        c.push(Gate::Rx(2, -0.4));
-        let s = StateVector::from_circuit(&c);
-        let paulis: Vec<PauliString> = ["ZZI", "IZZ", "XXI", "III", "YII"]
-            .iter()
-            .map(|t| PauliString::parse(t).unwrap())
-            .collect();
-        let mut rng = StdRng::seed_from_u64(42);
-        let ests = estimate_paulis_batched(&s, &paulis, 60_000, &mut rng);
-        for (p, est) in paulis.iter().zip(ests.iter()) {
-            let exact = s.expectation(p);
-            assert!((exact - est).abs() < 3e-2, "{p}: exact={exact} est={est}");
-        }
-        // Identity spends no shots and is exactly 1.
-        assert_eq!(ests[3], 1.0);
-    }
-
-    #[test]
-    fn batched_estimation_is_deterministic_per_seed() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::Ry(0, 1.1));
-        let s = StateVector::from_circuit(&c);
-        let paulis: Vec<PauliString> = ["ZI", "XI"]
-            .iter()
-            .map(|t| PauliString::parse(t).unwrap())
-            .collect();
-        let run = || {
-            let mut rng = StdRng::seed_from_u64(11);
-            estimate_paulis_batched(&s, &paulis, 500, &mut rng)
-        };
-        assert_eq!(run(), run());
-        assert!(estimate_paulis_batched(&s, &[], 10, &mut StdRng::seed_from_u64(0)).is_empty());
-    }
-
-    #[test]
     fn cdf_sampler_matches_sample_bitstrings() {
         // Same RNG stream → identical draws: the sampler refactor must not
         // change a single bit of downstream shot noise.
@@ -431,135 +176,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let via_sampler: Vec<u64> = (0..100).map(|_| sampler.draw(&mut rng)).collect();
         assert_eq!(via_fn, via_sampler);
-    }
-
-    #[test]
-    fn sorted_grouping_beats_input_order_on_shuffled_family() {
-        // Shuffled mixed family: the I-heavy strings come first, so
-        // greedy input-order grouping lets IX absorb ZI's basis slot and
-        // then needs a third group — the sorted order collates X-basis
-        // and Z-basis strings and gets by with two.
-        let family: Vec<PauliString> = ["IX", "ZI", "XX", "ZZ"]
-            .iter()
-            .map(|t| PauliString::parse(t).unwrap())
-            .collect();
-        let unsorted = group_input_order(&family).len();
-        let sorted = measurement_group_count(&family);
-        assert_eq!(unsorted, 3, "input-order greedy grouping fragments");
-        assert_eq!(sorted, 2, "sorted grouping finds the 2-group cover");
-        // Scaled-up shuffle: interleave 1-local X and Z strings on 6
-        // qubits front-loaded with identity-heavy members.
-        let n = 6;
-        let mut big: Vec<PauliString> = Vec::new();
-        for q in (0..n).rev() {
-            for letter in ["X", "Z"] {
-                let mut s: Vec<&str> = vec!["I"; n];
-                s[q] = letter;
-                big.push(PauliString::parse(&s.concat()).unwrap());
-            }
-        }
-        assert_eq!(
-            measurement_group_count(&big),
-            2,
-            "all 1-local X (resp. Z) strings share one rotated basis"
-        );
-    }
-
-    #[test]
-    fn batched_estimates_invariant_under_family_permutation() {
-        // The canonical sort makes the grouping — and therefore each
-        // observable's draw stream — independent of input order: the
-        // same seed must give the *same* estimate per string, however
-        // the family is arranged.
-        let mut c = Circuit::new(3);
-        c.push(Gate::Ry(0, 0.8));
-        c.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        c.push(Gate::Rx(2, -0.4));
-        let s = StateVector::from_circuit(&c);
-        let texts = ["ZZI", "IZZ", "XXI", "YII", "IIX", "ZIZ"];
-        let family: Vec<PauliString> = texts
-            .iter()
-            .map(|t| PauliString::parse(t).unwrap())
-            .collect();
-        let shuffled_idx = [3usize, 0, 5, 2, 4, 1];
-        let shuffled: Vec<PauliString> = shuffled_idx.iter().map(|&i| family[i]).collect();
-        let a = estimate_paulis_batched(&s, &family, 400, &mut StdRng::seed_from_u64(21));
-        let b = estimate_paulis_batched(&s, &shuffled, 400, &mut StdRng::seed_from_u64(21));
-        for (pos, &orig) in shuffled_idx.iter().enumerate() {
-            assert_eq!(
-                a[orig], b[pos],
-                "estimate for {} must not depend on family order",
-                texts[orig]
-            );
-        }
-    }
-
-    #[test]
-    fn grouped_uses_fewer_groups_than_input_order_on_shuffled_family() {
-        // The shuffled mixed family where greedy input-order grouping
-        // fragments (IX first poisons the X-basis slot for ZI): the
-        // estimator now rotates into the canonical 2-group cover, one
-        // fewer circuit preparation per estimation pass.
-        let family: Vec<PauliString> = ["IX", "ZI", "XX", "ZZ"]
-            .iter()
-            .map(|t| PauliString::parse(t).unwrap())
-            .collect();
-        assert_eq!(group_input_order(&family).len(), 3);
-        assert_eq!(group_canonical(&family).len(), 2);
-        assert_eq!(
-            group_canonical(&family).len(),
-            measurement_group_count(&family),
-            "estimate_paulis_grouped and estimate_paulis_batched share one grouping"
-        );
-    }
-
-    #[test]
-    fn grouped_estimates_invariant_under_family_permutation() {
-        // With input-order grouping a permutation could change which
-        // strings share a rotation (hence which shots they share); the
-        // canonical sort makes grouped estimates permutation-invariant
-        // per seed, matching the batched estimator's guarantee.
-        let mut c = Circuit::new(2);
-        c.push(Gate::Ry(0, 0.9));
-        c.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        let s = StateVector::from_circuit(&c);
-        let texts = ["IX", "ZI", "XX", "ZZ"];
-        let family: Vec<PauliString> = texts
-            .iter()
-            .map(|t| PauliString::parse(t).unwrap())
-            .collect();
-        let shuffled_idx = [2usize, 0, 3, 1];
-        let shuffled: Vec<PauliString> = shuffled_idx.iter().map(|&i| family[i]).collect();
-        let a = estimate_paulis_grouped(&s, &family, 400, &mut StdRng::seed_from_u64(17));
-        let b = estimate_paulis_grouped(&s, &shuffled, 400, &mut StdRng::seed_from_u64(17));
-        for (pos, &orig) in shuffled_idx.iter().enumerate() {
-            assert_eq!(
-                a[orig], b[pos],
-                "estimate for {} must not depend on family order",
-                texts[orig]
-            );
-        }
-    }
-
-    #[test]
-    fn grouping_is_compatible() {
-        // ZI, IZ, ZZ all share the Z⊗Z basis; XX needs its own group.
-        let s = StateVector::zero_state(2);
-        let paulis: Vec<PauliString> = ["ZI", "IZ", "ZZ"]
-            .iter()
-            .map(|t| PauliString::parse(t).unwrap())
-            .collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        let ests = estimate_paulis_grouped(&s, &paulis, 100, &mut rng);
-        // On |00⟩ all three are exactly +1 regardless of shots.
-        for e in ests {
-            assert_eq!(e, 1.0);
-        }
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The serving layer deliberately separates *what* to compute (one row
 //! per unique data point, standalone-seeded) from *where*: the local
-//! path encodes the whole miss set in amplitude-major SoA blocks
-//! (`pvqnn`'s batched `generate_rows_standalone`) and replays the
-//! generator's cached compiled circuits — bit-for-bit what each lone
-//! request would have computed — while the pool path packages the same
+//! path hands the miss set to `pvqnn`'s `generate_rows_standalone`, one
+//! row per point on the shared executor (Exact and Shots rows from the
+//! generator's Pauli-transfer plan, Shadows rows from its cached
+//! compiled circuits) — bit-for-bit what each lone request would have
+//! computed — while the pool path packages the same
 //! work as [`hpcq::CircuitJob`]s and scatters it across a simulated QPU
 //! pool, the deployment shape the paper's hybrid HPC-QC system targets
 //! for the finite-shot backends.
