@@ -135,8 +135,8 @@ pub fn read_numbers(path: &Path) -> std::io::Result<Vec<(String, f64)>> {
 /// Diffs `fresh` against a committed baseline report, returning the
 /// human-readable failures for every metric in `gated` — `(key,
 /// higher_is_better)` pairs — that moved more than `tolerance` in the
-/// losing direction (improvements never fail; metrics missing from
-/// either side do). Shared by the exp_scaling and exp_serving CI gates
+/// losing direction (improvements never fail; a metric missing from
+/// either side does, and the message names the side that lacks it). Shared by the exp_scaling and exp_serving CI gates
 /// so the tolerance semantics cannot diverge.
 pub fn baseline_gate_failures(
     fresh: &ScalingReport,
@@ -156,11 +156,26 @@ pub fn baseline_gate_failures(
     let base_get = |key: &str| baseline.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
     let mut failures = Vec::new();
     for &(key, higher_is_better) in gated {
-        let (Some(new), Some(old)) = (fresh.get(key), base_get(key)) else {
-            failures.push(format!(
-                "metric {key} missing from fresh report or baseline"
-            ));
-            continue;
+        let (new, old) = match (fresh.get(key), base_get(key)) {
+            (Some(new), Some(old)) => (new, old),
+            (None, Some(_)) => {
+                failures.push(format!("metric {key} missing from fresh report"));
+                continue;
+            }
+            (Some(_), None) => {
+                failures.push(format!(
+                    "metric {key} missing from baseline {}",
+                    baseline_path.display()
+                ));
+                continue;
+            }
+            (None, None) => {
+                failures.push(format!(
+                    "metric {key} missing from fresh report and from baseline {}",
+                    baseline_path.display()
+                ));
+                continue;
+            }
         };
         if old <= 0.0 {
             continue;
@@ -301,5 +316,36 @@ mod tests {
         assert_eq!(find("schema"), None, "string fields are skipped");
         assert_eq!(r.get("gate_apply_ns_per_amp"), Some(1.75));
         assert_eq!(r.get("missing"), None);
+    }
+
+    #[test]
+    fn gate_failures_name_the_side_missing_a_key() {
+        let dir = std::env::temp_dir().join("postvar_report_gate_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.json");
+        let mut base = ScalingReport::new();
+        base.put("both", 2.0);
+        base.put("only_baseline", 1.0);
+        base.write_to(&path).unwrap();
+        let mut fresh = ScalingReport::new();
+        fresh.put("both", 1.0);
+        fresh.put("only_fresh", 1.0);
+        let gated = [
+            ("both", true),
+            ("only_baseline", true),
+            ("only_fresh", true),
+            ("neither", true),
+        ];
+        let failures = baseline_gate_failures(&fresh, &path, &gated, 0.25);
+        let shown = path.display();
+        assert_eq!(
+            failures,
+            vec![
+                "both regressed: baseline 2.0000 -> fresh 1.0000 (-50.0%)".to_string(),
+                "metric only_baseline missing from fresh report".to_string(),
+                format!("metric only_fresh missing from baseline {shown}"),
+                format!("metric neither missing from fresh report and from baseline {shown}"),
+            ]
+        );
     }
 }

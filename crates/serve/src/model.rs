@@ -78,7 +78,10 @@ impl ServedModel {
     }
 
     /// Head predictions for a batch of precomputed feature rows — one
-    /// fused sweep over the whole micro-batch.
+    /// fused sweep over the whole matrix. The server does not call it
+    /// (it reads each row in place with [`Self::predict_row`]); batch
+    /// callers holding a feature matrix, such as offline evaluation or a
+    /// replay of the head, do.
     pub fn predict_batch(&self, q: &Mat) -> Vec<Prediction> {
         match self {
             ServedModel::Regressor(m) => m

@@ -1,7 +1,7 @@
 //! The micro-batching inference server.
 //!
 //! A synchronous core driven by threads: clients [`Server::submit`]
-//! single data points and block (or poll) on a per-request channel;
+//! single data points and block (or poll) on a one-shot reply slot;
 //! whoever drives the server — a dedicated worker thread
 //! ([`spawn_worker`]), a deterministic test harness, or a load
 //! generator — repeatedly calls [`Server::step`], which forms and
@@ -9,15 +9,22 @@
 //!
 //! ```text
 //! submit ──► fair admission ──► per-tenant EDF queues ──► batcher ──► feature cache
-//!              │ shed                 │                      │            │ miss
-//!              ▼              weighted round robin           │            ▼
-//!           Rejected           across tenants,               │      engine (executor
-//!                              earliest deadline             │        or QPU pool)
-//!                              first within each             ▼            │
-//!                                          fused head sweep ◄─ rows ◄─────┘
+//!              │ shed                 │                      │         hit │   │ miss
+//!              ▼              weighted round robin           │             │   ▼
+//!           Rejected           across tenants,               │             │ engine (executor
+//!                              earliest deadline             │             │   or QPU pool)
+//!                              first within each             ▼             ▼   │
+//!                                      head reads each row in place ◄──────────┘
 //!                                                            │
 //!                                     responses + per-tenant latency histograms
 //! ```
+//!
+//! The hit path costs one dot product per request: the head reads a
+//! cached row where it lies, under the cache lock, and a computed miss
+//! row is read once and then moved into the cache — no row is copied.
+//! Each answer lands in the request's reply slot; a thread is woken only
+//! when it sleeps — the batcher when it is parked on an empty queue, a
+//! client when it is blocked in [`ResponseHandle::wait`].
 //!
 //! Requests carry a [`TenantId`]; admission is weighted-fair across
 //! tenants (see [`crate::admission`]) and batch slots are handed out by
@@ -69,12 +76,10 @@ use crate::engine::FeatureEngine;
 use crate::model::{Prediction, ServedModel};
 use crate::registry::{ModelRegistry, ModelVersion};
 use crate::stats::{LatencyHistogram, ServerStats, TenantSnapshot};
-use linalg::Mat;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Largest accepted input-coordinate magnitude. Encoding angles are
@@ -146,11 +151,82 @@ pub struct Response {
 /// What a request ultimately resolves to.
 pub type ServeResult = Result<Response, Rejected>;
 
+/// One request's reply, shared by its [`ResponseHandle`] and its queue
+/// entry's [`Responder`].
+#[derive(Debug, Default)]
+struct ReplySlot {
+    state: Mutex<SlotState>,
+    ready: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct SlotState {
+    /// The answer, from the moment the responder gives it until the
+    /// client takes it.
+    result: Option<ServeResult>,
+    /// The client has taken `result`; the slot has nothing more to give.
+    taken: bool,
+    /// The client is blocked in [`ResponseHandle::wait`] — the only time
+    /// an answer needs a notify.
+    waiting: bool,
+}
+
+impl ReplySlot {
+    /// Locks the slot. Nothing panics while holding it, and every write
+    /// leaves it whole, so a poisoned lock is recovered.
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl SlotState {
+    /// Hands the answer out once; afterwards the slot reads as a server
+    /// that went away without answering.
+    fn take(&mut self) -> Option<ServeResult> {
+        if self.taken {
+            return Some(Err(Rejected::ShuttingDown));
+        }
+        let result = self.result.take()?;
+        self.taken = true;
+        Some(result)
+    }
+}
+
+/// The server's end of a reply slot: it answers exactly once, and if it
+/// is dropped unanswered (the server went away with the request still
+/// queued) it answers [`Rejected::ShuttingDown`].
+struct Responder(Option<Arc<ReplySlot>>);
+
+impl Responder {
+    fn send(mut self, result: ServeResult) {
+        self.answer(result);
+    }
+
+    fn answer(&mut self, result: ServeResult) {
+        let Some(slot) = self.0.take() else {
+            return;
+        };
+        let mut state = slot.lock();
+        state.result = Some(result);
+        let wake = state.waiting;
+        drop(state);
+        if wake {
+            slot.ready.notify_one();
+        }
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        self.answer(Err(Rejected::ShuttingDown));
+    }
+}
+
 /// The client's end of one submitted request.
 #[derive(Debug)]
 pub struct ResponseHandle {
     id: u64,
-    rx: Receiver<ServeResult>,
+    slot: Arc<ReplySlot>,
 }
 
 impl ResponseHandle {
@@ -162,18 +238,28 @@ impl ResponseHandle {
     /// Blocks until the response arrives; [`Rejected::ShuttingDown`]
     /// if the server was dropped without answering.
     pub fn wait(self) -> ServeResult {
-        self.rx.recv().unwrap_or(Err(Rejected::ShuttingDown))
+        let mut state = self.slot.lock();
+        loop {
+            if let Some(result) = state.take() {
+                return result;
+            }
+            state.waiting = true;
+            state = self
+                .slot
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiting = false;
+        }
     }
 
     /// Non-blocking poll; `None` while the request is still queued or
     /// in flight, [`Rejected::ShuttingDown`] if the server was dropped
-    /// without answering.
+    /// without answering. The response is handed out once: after a call
+    /// returns it, later calls (and [`Self::wait`]) return
+    /// [`Rejected::ShuttingDown`], as for a server that went away.
     pub fn try_take(&self) -> Option<ServeResult> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(Rejected::ShuttingDown)),
-        }
+        self.slot.lock().take()
     }
 }
 
@@ -187,7 +273,7 @@ struct Pending {
     deadline_ns: u64,
     /// Admission order, the EDF tie-break (FIFO among equal deadlines).
     seq: u64,
-    tx: Sender<ServeResult>,
+    reply: Responder,
 }
 
 /// Min-heap adapter: a tenant's sub-queue pops its earliest-deadline
@@ -230,6 +316,13 @@ struct QueueState {
     cursor: Option<TenantId>,
     /// Monotonic admission counter feeding [`Pending::seq`].
     seq: u64,
+    /// Batcher threads asleep on [`Server::work`]; `submit` notifies
+    /// only while one is.
+    parked: usize,
+    /// Set by [`Server::stop`]: refuse new work, let the batchers exit
+    /// once the queue is drained. Under the queue lock, so a batcher
+    /// between its check and its wait cannot miss the wake-up.
+    stopping: bool,
 }
 
 /// Per-tenant stat counters behind the stats mutex.
@@ -283,7 +376,6 @@ pub struct Server {
     cache: Mutex<FeatureCache>,
     stats: Mutex<Counters>,
     next_id: AtomicU64,
-    stopping: AtomicBool,
 }
 
 impl Server {
@@ -304,12 +396,13 @@ impl Server {
                 admission: AdmissionController::new(config.queue_capacity, config.high_water),
                 cursor: None,
                 seq: 0,
+                parked: 0,
+                stopping: false,
             }),
             work: Condvar::new(),
             cache: Mutex::new(FeatureCache::new(config.cache_capacity, config.quant_scale)),
             stats: Mutex::new(Counters::default()),
             next_id: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
             clock: SimClock::new(),
             config,
         }
@@ -426,7 +519,7 @@ impl Server {
             // Checked under the queue lock so a submit can never slip a
             // request in after the worker's final drained-and-stopping
             // check — admitted implies answered.
-            if self.stopping.load(Ordering::SeqCst) {
+            if state.stopping {
                 return Err(Rejected::ShuttingDown);
             }
             match state.admission.admit(tenant, budget_ns.is_some()) {
@@ -440,7 +533,7 @@ impl Server {
                     };
                     let seq = state.seq;
                     state.seq += 1;
-                    let (tx, rx) = channel();
+                    let slot = Arc::new(ReplySlot::default());
                     state
                         .queues
                         .entry(tenant)
@@ -452,7 +545,7 @@ impl Server {
                             arrival_ns,
                             deadline_ns,
                             seq,
-                            tx,
+                            reply: Responder(Some(Arc::clone(&slot))),
                         }));
                     state.len += 1;
                     // Counted while the queue lock is still held, so no
@@ -463,13 +556,15 @@ impl Server {
                     let t = stats.tenant(tenant);
                     t.submitted += 1;
                     t.admitted += 1;
-                    Ok(ResponseHandle { id, rx })
+                    Ok((ResponseHandle { id, slot }, state.parked > 0))
                 }
             }
         };
         match verdict {
-            Ok(handle) => {
-                self.work.notify_one();
+            Ok((handle, wake)) => {
+                if wake {
+                    self.work.notify_one();
+                }
                 Ok(handle)
             }
             Err(rejection) => Err(self.count_rejection(tenant, rejection)),
@@ -607,7 +702,7 @@ impl Server {
     fn run_batch(&self, batch: Vec<Pending>) {
         let Some((version, model)) = self.registry.active() else {
             for p in batch {
-                let _ = p.tx.send(Err(Rejected::NoActiveModel));
+                p.reply.send(Err(Rejected::NoActiveModel));
             }
             return;
         };
@@ -623,13 +718,13 @@ impl Server {
         for p in batch {
             if now > p.deadline_ns {
                 expired.push(p.tenant);
-                let _ = p.tx.send(Err(Rejected::DeadlineExceeded {
+                p.reply.send(Err(Rejected::DeadlineExceeded {
                     deadline_ns: p.deadline_ns,
                     now_ns: now,
                 }));
             } else if p.x.is_empty() || !p.x.len().is_multiple_of(qubits) {
                 invalid.push(p.tenant);
-                let _ = p.tx.send(Err(Rejected::InvalidInput {
+                p.reply.send(Err(Rejected::InvalidInput {
                     len: p.x.len(),
                     qubits,
                 }));
@@ -649,9 +744,10 @@ impl Server {
             return;
         }
 
-        // Cache phase: resolve hits, dedupe misses within the batch so
-        // each unique point is simulated once.
-        let mut rows: Vec<Option<Vec<f64>>> = (0..live.len()).map(|_| None).collect();
+        // Cache phase: a hit is answered here, by the head reading the
+        // cached row in place under the cache lock; misses are deduped
+        // within the batch so each unique point is simulated once.
+        let mut predictions: Vec<Option<Prediction>> = vec![None; live.len()];
         let mut hit: Vec<bool> = vec![false; live.len()];
         let mut miss_of: HashMap<Vec<i64>, usize> = HashMap::new();
         let mut miss_keys: Vec<Vec<i64>> = Vec::new();
@@ -671,7 +767,7 @@ impl Server {
             for (i, p) in live.iter().enumerate() {
                 let key = cache.quantize(&p.x);
                 if let Some(row) = cache.get(fp, &key) {
-                    rows[i] = Some(row.to_vec());
+                    predictions[i] = Some(model.predict_row(row));
                     hit[i] = true;
                 } else {
                     match miss_of.get(&key) {
@@ -732,42 +828,37 @@ impl Server {
             };
             if let Some(computed) = computed {
                 debug_assert_eq!(computed.len(), miss_keys.len());
+                // Each computed row is read once, its prediction shared
+                // with the miss's within-batch duplicates, and then moved
+                // into the cache. Rows tagged with their generator's
+                // fingerprint stay valid forever — no tag re-check needed
+                // even if a concurrent batch hot-swapped the active model
+                // while we computed.
+                let mut cache = self.cache.lock().expect("server lock poisoned");
+                for ((key, row), requesters) in
+                    miss_keys.into_iter().zip(computed).zip(&miss_requesters)
                 {
-                    // Rows tagged with their generator's fingerprint stay
-                    // valid forever — no tag re-check needed even if a
-                    // concurrent batch hot-swapped the active model while
-                    // we computed.
-                    let mut cache = self.cache.lock().expect("server lock poisoned");
-                    for (key, row) in miss_keys.into_iter().zip(computed.iter()) {
-                        cache.insert(fp, key, row.clone());
-                    }
-                }
-                for (mi, requesters) in miss_requesters.iter().enumerate() {
+                    let prediction = model.predict_row(&row);
                     for &i in requesters {
-                        rows[i] = Some(computed[mi].clone());
+                        predictions[i] = Some(prediction);
                     }
+                    cache.insert(fp, key, row);
                 }
             }
         }
 
         // Bottom rung: requests whose rows never materialized are shed
-        // with a typed error; everything else proceeds to the head sweep.
+        // with a typed error; everything else is answered below.
         let misses = miss_xs.len();
         drop(miss_xs);
-        // The head matrix is built in place: one copy per surviving row.
-        let cols = model.generator().strategy().num_neurons();
-        let mut survivors: Vec<(Pending, bool)> = Vec::with_capacity(live.len());
-        let mut head_rows: Vec<f64> = Vec::with_capacity(live.len() * cols);
+        let mut survivors: Vec<(Pending, Prediction, bool)> = Vec::with_capacity(live.len());
         let mut shed_backend: Vec<TenantId> = Vec::new();
-        for ((p, row), h) in live.into_iter().zip(rows).zip(hit) {
-            match row {
-                Some(r) => {
-                    head_rows.extend_from_slice(&r);
-                    survivors.push((p, h));
-                }
+        for ((p, prediction), cache_hit) in live.into_iter().zip(predictions).zip(hit) {
+            match prediction {
+                Some(prediction) => survivors.push((p, prediction, cache_hit)),
                 None => {
                     shed_backend.push(p.tenant);
-                    let _ = p.tx.send(Err(Rejected::BackendUnavailable {
+                    p.reply.send(Err(Rejected::BackendUnavailable {
                         failed_jobs: backend_failed_jobs,
                     }));
                 }
@@ -784,10 +875,6 @@ impl Server {
             return;
         }
 
-        // Head phase: one fused sweep over the whole micro-batch.
-        let mat = Mat::from_vec(survivors.len(), cols, head_rows);
-        let predictions = model.predict_batch(&mat);
-
         // Account simulated time once per batch, then respond.
         let done = self
             .clock
@@ -798,7 +885,7 @@ impl Server {
         stats.batch_rows += served as u64;
         stats.completed += served as u64;
         stats.unique_simulations += misses as u64;
-        for ((p, cache_hit), prediction) in survivors.into_iter().zip(predictions) {
+        for (p, prediction, cache_hit) in survivors {
             let latency_ns = done.saturating_sub(p.arrival_ns);
             let t = stats.tenant(p.tenant);
             t.completed += 1;
@@ -806,7 +893,7 @@ impl Server {
             if cache_hit {
                 t.cache_hits += 1;
             }
-            let _ = p.tx.send(Ok(Response {
+            p.reply.send(Ok(Response {
                 id: p.id,
                 tenant: p.tenant,
                 prediction,
@@ -858,7 +945,7 @@ impl Server {
 
     /// Signals the worker loop to exit once the queue is drained.
     pub fn stop(&self) {
-        self.stopping.store(true, Ordering::SeqCst);
+        self.state.lock().expect("server lock poisoned").stopping = true;
         self.work.notify_all();
     }
 
@@ -866,16 +953,19 @@ impl Server {
     /// park when idle, drain fully on [`Server::stop`].
     fn worker_loop(&self) {
         loop {
-            {
+            let batch = {
                 let mut state = self.state.lock().expect("server lock poisoned");
-                while state.len == 0 && !self.stopping.load(Ordering::SeqCst) {
+                while state.len == 0 && !state.stopping {
+                    state.parked += 1;
                     state = self.work.wait(state).expect("server lock poisoned");
+                    state.parked -= 1;
                 }
                 if state.len == 0 {
                     return; // stopping and drained
                 }
-            }
-            self.step();
+                self.form_batch(&mut state)
+            };
+            self.run_batch(batch);
         }
     }
 }

@@ -11,7 +11,8 @@ use pvqnn::{FeatureGenerator, PostVarClassifier, PostVarRegressor, Strategy};
 use serve::{spawn_worker, FeatureEngine, Prediction, Rejected, Server, ServerConfig, TenantId};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use serve::demo_catalogue as catalogue;
@@ -613,6 +614,164 @@ fn worker_thread_serves_concurrent_clients_bitwise() {
     assert_eq!(stats.completed, 100);
     assert_eq!(stats.submitted, 100);
     assert!(stats.cache.hits > 0, "10 unique points, 100 requests");
+}
+
+/// Runs `f` on its own thread and fails the test if it is still running
+/// after `limit`: a lost wake-up shows up as a failure, not a stuck suite.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("still running after {limit:?}: a lost wake-up"),
+        Err(RecvTimeoutError::Disconnected) => match runner.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the runner sends before it returns"),
+        },
+    }
+}
+
+/// `stop` must wake a batcher however close it is to parking: 200 rounds
+/// of spawn → stop → join, one at a time, each on a fresh server, and
+/// none may hang.
+#[test]
+fn stop_always_wakes_the_batcher() {
+    within(Duration::from_secs(60), || {
+        for round in 0..200 {
+            let server = Arc::new(Server::new(ServerConfig::default()));
+            let worker = spawn_worker(Arc::clone(&server));
+            if round % 2 == 1 {
+                // Give the batcher time to park, half the rounds.
+                std::thread::yield_now();
+            }
+            server.stop();
+            worker.join().unwrap();
+        }
+    });
+}
+
+/// A lone client submitting one request at a time leaves the batcher
+/// parked between requests, so every submit has to wake it and every
+/// answer has to reach a client that may already be blocked.
+#[test]
+fn lone_client_is_answered_after_every_park() {
+    let model = regressor(FeatureBackend::Exact);
+    let points = catalogue(10);
+    let expected: Vec<Prediction> = points
+        .iter()
+        .map(|x| Prediction::Value(model.predict(std::slice::from_ref(x))[0]))
+        .collect();
+    let server = Arc::new(Server::new(ServerConfig::default()));
+    server.deploy(model);
+    let client = Arc::clone(&server);
+    within(Duration::from_secs(120), move || {
+        let worker = spawn_worker(Arc::clone(&client));
+        for i in 0..20_000 {
+            let pid = i % points.len();
+            let response = client
+                .submit(points[pid].clone())
+                .expect("admitted")
+                .wait()
+                .expect("served");
+            assert_eq!(response.prediction, expected[pid], "request {i}");
+        }
+        client.stop();
+        worker.join().unwrap();
+    });
+    let stats = server.stats();
+    assert_eq!((stats.submitted, stats.completed), (20_000, 20_000));
+}
+
+/// Four clients blocked in `wait` at once, each on several requests:
+/// every answer reaches its own client, bit for bit the standalone
+/// `predict_proba_row` of a standalone-seeded feature row.
+#[test]
+fn concurrent_waiters_get_standalone_probabilities() {
+    let model = classifier();
+    let points = catalogue(12);
+    let server = Arc::new(Server::new(ServerConfig {
+        max_batch: 4,
+        default_deadline_ns: 0,
+        ..Default::default()
+    }));
+    server.deploy(model.clone());
+    let ready = Arc::new(Barrier::new(5));
+    let clients: Vec<_> = (0..4)
+        .map(|c| {
+            let server = Arc::clone(&server);
+            let ready = Arc::clone(&ready);
+            let points = points.clone();
+            std::thread::spawn(move || {
+                let handles: Vec<_> = (0..6)
+                    .map(|i| {
+                        let pid = (c * 5 + i) % points.len();
+                        (pid, server.submit(points[pid].clone()).expect("admitted"))
+                    })
+                    .collect();
+                ready.wait();
+                handles
+                    .into_iter()
+                    .map(|(pid, h)| (pid, h.wait().expect("served")))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    // Every request is queued before the batcher starts, so the clients
+    // are blocked in `wait` when the first answers land.
+    ready.wait();
+    std::thread::sleep(Duration::from_millis(20));
+    let batcher = Arc::clone(&server);
+    within(Duration::from_secs(60), move || {
+        let worker = spawn_worker(Arc::clone(&batcher));
+        for client in clients {
+            for (pid, response) in client.join().unwrap() {
+                let row = &model
+                    .generator()
+                    .generate_rows_standalone(&[points[pid].as_slice()])[0];
+                let lone = model.predict_proba_row(row);
+                assert_eq!(response.prediction, Prediction::Probability(lone));
+            }
+        }
+        batcher.stop();
+        worker.join().unwrap();
+    });
+    assert_eq!(server.stats().completed, 24);
+}
+
+/// Clients already blocked in `wait` when the server is dropped with
+/// their requests still queued are woken with `ShuttingDown`.
+#[test]
+fn dropped_server_wakes_blocked_waiters_shutting_down() {
+    let server = Server::new(ServerConfig::default());
+    server.deploy(regressor(FeatureBackend::Exact));
+    let x = catalogue(1).pop().unwrap();
+    let waiters: Vec<_> = (0..4)
+        .map(|_| {
+            let handle = server.submit(x.clone()).unwrap();
+            std::thread::spawn(move || handle.wait())
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(20));
+    drop(server);
+    within(Duration::from_secs(60), move || {
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), Err(Rejected::ShuttingDown));
+        }
+    });
+}
+
+/// A response is handed out once: a later poll reads `ShuttingDown`.
+#[test]
+fn try_take_hands_the_response_out_once() {
+    let server = Server::new(ServerConfig::default());
+    server.deploy(regressor(FeatureBackend::Exact));
+    let handle = server.submit(catalogue(1).pop().unwrap()).unwrap();
+    server.drain();
+    assert!(matches!(handle.try_take(), Some(Ok(_))));
+    assert_eq!(handle.try_take(), Some(Err(Rejected::ShuttingDown)));
+    assert_eq!(handle.wait(), Err(Rejected::ShuttingDown));
 }
 
 /// Hot-swap under live traffic: four client threads across three
