@@ -26,10 +26,7 @@
 //! measurement, so none is reported.
 
 use bench::{baseline_gate_failures, read_numbers, ScalingReport, TablePrinter};
-use hpcq::{
-    outcome_id, CircuitJob, FaultSchedule, JobOutcome, PoolReport, QpuConfig, QpuPool,
-    SchedulePolicy,
-};
+use hpcq::{outcome_id, CircuitJob, FaultSchedule, JobOutcome, PoolReport, QpuConfig, QpuPool};
 use pauli::{local_paulis, PauliString};
 use qsim::{Circuit, Gate};
 use std::path::Path;
@@ -73,7 +70,7 @@ fn chaos_jobs(n: usize) -> Vec<CircuitJob> {
 }
 
 /// A pool where device `d` carries `schedules[d]`.
-fn chaos_pool(schedules: Vec<FaultSchedule>, policy: SchedulePolicy) -> QpuPool {
+fn chaos_pool(schedules: Vec<FaultSchedule>) -> QpuPool {
     let configs: Vec<QpuConfig> = schedules
         .into_iter()
         .map(|faults| QpuConfig {
@@ -81,7 +78,7 @@ fn chaos_pool(schedules: Vec<FaultSchedule>, policy: SchedulePolicy) -> QpuPool 
             ..Default::default()
         })
         .collect();
-    QpuPool::heterogeneous(configs, policy)
+    QpuPool::heterogeneous(configs)
 }
 
 /// Per-scenario outcome summary.
@@ -98,12 +95,8 @@ impl ScenarioResult {
     }
 }
 
-fn run_scenario(
-    schedules: Vec<FaultSchedule>,
-    policy: SchedulePolicy,
-    n_jobs: usize,
-) -> ScenarioResult {
-    let mut pool = chaos_pool(schedules, policy);
+fn run_scenario(schedules: Vec<FaultSchedule>, n_jobs: usize) -> ScenarioResult {
+    let mut pool = chaos_pool(schedules);
     let jobs = chaos_jobs(n_jobs);
     let total = jobs.len();
     let (outcomes, report) = pool.execute_batch(jobs);
@@ -168,11 +161,7 @@ fn main() {
     // Reference: the same batch on a fault-free pool. Exact jobs never
     // touch a device rng, so every completed chaos result must be
     // bit-for-bit identical to this.
-    let clean = run_scenario(
-        vec![FaultSchedule::none(); DEVICES],
-        SchedulePolicy::WorkStealing,
-        n_jobs,
-    );
+    let clean = run_scenario(vec![FaultSchedule::none(); DEVICES], n_jobs);
     assert_eq!(
         clean.completed, clean.total,
         "fault-free pool completes all"
@@ -197,7 +186,7 @@ fn main() {
 
     let mut headline_availability = 1.0f64;
     for (name, schedules) in scenarios {
-        let r = run_scenario(schedules, SchedulePolicy::WorkStealing, n_jobs);
+        let r = run_scenario(schedules, n_jobs);
         table.row(&[
             name.to_string(),
             format!("{:.2}%", r.availability() * 100.0),
@@ -247,27 +236,26 @@ fn main() {
     }
     table.print();
 
-    // Cross-policy determinism: the chaos replay is scheduler-dependent
-    // but seed-stable — the same (schedule, policy) pair reproduces the
-    // same availability and fault counters.
-    for policy in [
-        SchedulePolicy::RoundRobin,
-        SchedulePolicy::LeastLoaded,
-        SchedulePolicy::WorkStealing,
-    ] {
-        let a = run_scenario(single_outage_schedules(), policy, n_jobs);
-        let b = run_scenario(single_outage_schedules(), policy, n_jobs);
-        if a.completed != b.completed || a.report.faults != b.report.faults {
-            failures.push(format!("{policy:?} chaos replay was not deterministic"));
-        }
-        if a.availability() < 0.99 {
+    // Cross-thread determinism: dispatch runs on the simulated clock, so
+    // the same schedule reproduces the same outcomes (placement, values,
+    // completion times, typed errors) and fault counters whatever the
+    // executor's thread count.
+    let replay = |threads: usize| {
+        rayon::with_num_threads(threads, || run_scenario(single_outage_schedules(), n_jobs))
+    };
+    let (a, b) = (replay(1), replay(2));
+    if a.outcomes != b.outcomes || a.report.faults != b.report.faults {
+        failures.push("chaos replay differed between 1 and 2 threads".to_string());
+    }
+    for (threads, r) in [(1, &a), (2, &b)] {
+        if r.availability() < 0.99 {
             failures.push(format!(
-                "{policy:?} availability {:.2}% below 99% under single-device outage",
-                a.availability() * 100.0
+                "{threads}-thread availability {:.2}% below 99% under single-device outage",
+                r.availability() * 100.0
             ));
         }
     }
-    println!("cross-policy: single-device outage replayed deterministically under all 3 policies");
+    println!("cross-thread: single-device outage replayed identically at 1 and 2 threads");
 
     // Merge the fault metrics into BENCH_scaling.json (preserving what
     // exp_scaling / exp_serving already wrote there).

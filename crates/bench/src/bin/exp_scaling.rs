@@ -1,6 +1,6 @@
 //! The SC-system experiment: strong scaling of the quantum feature stage
-//! over the simulated QPU pool, scheduler comparison, and the hybrid
-//! pipeline's stage breakdown — plus the single-node kernel metrics that
+//! over the simulated QPU pool and the hybrid pipeline's stage
+//! breakdown — plus the single-node kernel metrics that
 //! are written to `BENCH_scaling.json` so CI can track the performance
 //! trajectory across PRs.
 //!
@@ -18,7 +18,7 @@ use bench::{
     naive_feature_sweep, naive_shot_sweep, oversubscribed_batch, time_secs, ScalingReport,
     TablePrinter,
 };
-use hpcq::{strong_scaling, CircuitJob, HybridPipeline, QpuConfig, QpuPool, SchedulePolicy};
+use hpcq::{strong_scaling, CircuitJob, HybridPipeline, QpuConfig, QpuPool};
 use pauli::local_paulis;
 use pvqnn::ansatz::fig8_ansatz;
 use pvqnn::features::{FeatureBackend, FeatureGenerator};
@@ -281,8 +281,7 @@ fn kernel_metrics() -> ScalingReport {
     let mixed = mixed_pool_jobs(17, 10, 4, 6, 8);
     let n_dev = 4;
     let t_shared = time_secs(2, || {
-        let mut pool =
-            QpuPool::homogeneous(n_dev, QpuConfig::default(), SchedulePolicy::WorkStealing);
+        let mut pool = QpuPool::homogeneous(n_dev, QpuConfig::default());
         pool.execute_batch(mixed.clone())
     });
     let t_oversub = time_secs(2, || oversubscribed_batch(&mixed, n_dev));
@@ -428,15 +427,14 @@ fn main() {
         task.train_x.len()
     );
 
-    // --- Strong scaling with the work-stealing scheduler on the heavy
-    //     (14-qubit) workload.
+    // --- Strong scaling on the heavy (13-qubit) workload.
     let heavy = heavy_jobs(256);
     println!(
         "scaling workload: {} jobs, 13-qubit states, {} observables each\n",
         heavy.len(),
         heavy[0].observables.len()
     );
-    println!("-- strong scaling (work stealing, 13-qubit jobs) --");
+    println!("-- strong scaling (13-qubit jobs) --");
     println!(
         "   host has {} cores: wall-clock speedup caps there; the QPU-side metric",
         std::thread::available_parallelism()
@@ -445,12 +443,7 @@ fn main() {
     );
     println!("   is the simulated pool makespan (devices are the parallel resource)\n");
     let counts = [1usize, 2, 4, 8];
-    let points = strong_scaling(
-        &heavy,
-        &counts,
-        QpuConfig::default(),
-        SchedulePolicy::WorkStealing,
-    );
+    let points = strong_scaling(&heavy, &counts, QpuConfig::default());
     let base_makespan = points[0].sim_makespan_secs;
     let mut table = TablePrinter::new(&[
         "devices",
@@ -473,37 +466,9 @@ fn main() {
     }
     table.print();
 
-    // --- Scheduler comparison at 4 devices.
-    println!("\n-- scheduler comparison (4 devices) --");
-    let mut table = TablePrinter::new(&[
-        "policy",
-        "wall s",
-        "sim makespan s",
-        "utilization",
-        "jobs/device (min..max)",
-    ]);
-    for policy in [
-        SchedulePolicy::RoundRobin,
-        SchedulePolicy::LeastLoaded,
-        SchedulePolicy::WorkStealing,
-    ] {
-        let mut pool = QpuPool::homogeneous(4, QpuConfig::default(), policy);
-        let (_, report) = pool.execute_batch(jobs.clone());
-        let min = report.jobs_per_device.iter().min().unwrap();
-        let max = report.jobs_per_device.iter().max().unwrap();
-        table.row(&[
-            format!("{policy:?}"),
-            format!("{:.3}", report.wall_secs),
-            format!("{:.3}", report.sim_makespan_secs),
-            format!("{:.0}%", report.utilization * 100.0),
-            format!("{min}..{max}"),
-        ]);
-    }
-    table.print();
-
     // --- Hybrid pipeline stage breakdown.
     println!("\n-- hybrid pipeline: quantum stage vs classical convex stage --");
-    let pool = QpuPool::homogeneous(4, QpuConfig::default(), SchedulePolicy::WorkStealing);
+    let pool = QpuPool::homogeneous(4, QpuConfig::default());
     let mut pipeline = HybridPipeline::new(pool);
     let labels = task.train_y.clone();
     let samples = task.train_x.len();

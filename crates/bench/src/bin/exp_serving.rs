@@ -368,9 +368,7 @@ fn run_scenario(name: &str, smoke: bool) {
             // run — the fault layer (retry/failover/degraded fallback)
             // and the brownout ladder must compose without a panic, with
             // typed sheds only.
-            use hpcq::{
-                FaultPolicy, FaultSchedule, QpuConfig, QpuPool, RetryPolicy, SchedulePolicy,
-            };
+            use hpcq::{FaultPolicy, FaultSchedule, QpuConfig, QpuPool, RetryPolicy};
             use std::sync::Mutex;
             let flood = TenantLoad {
                 tenant: TenantId(2),
@@ -386,14 +384,13 @@ fn run_scenario(name: &str, smoke: bool) {
             let trace = synthesize_trace(&[steady, flood], horizon_ns, points.len(), 7);
             let mut configs = vec![QpuConfig::default(); 4];
             configs[0].faults = FaultSchedule::none().with_outage(1, u64::MAX);
-            let pool = QpuPool::heterogeneous(configs, SchedulePolicy::WorkStealing)
-                .with_fault_policy(FaultPolicy {
-                    retry: RetryPolicy {
-                        max_attempts_total: 4,
-                        ..Default::default()
-                    },
+            let pool = QpuPool::heterogeneous(configs).with_fault_policy(FaultPolicy {
+                retry: RetryPolicy {
+                    max_attempts_total: 4,
                     ..Default::default()
-                });
+                },
+                ..Default::default()
+            });
             let server = Server::with_engine(
                 ServerConfig {
                     queue_capacity: 256,

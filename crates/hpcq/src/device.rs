@@ -101,9 +101,8 @@ impl QpuDevice {
 
     /// Whether submission attempt `attempt` of `job` hits the injected
     /// transient-failure draw. Deterministic given the device seed, job id
-    /// and attempt, so schedulers can *predict* placement (the
-    /// work-stealing policy's simulated-time dispatch) and execution then
-    /// reproduces it.
+    /// and attempt, so the pool can *predict* placement (its
+    /// simulated-time dispatch) and execution then reproduces it.
     pub fn would_fail(&self, job: &CircuitJob, attempt: u32) -> bool {
         if self.config.fail_prob <= 0.0 {
             return false;

@@ -17,10 +17,10 @@
 //! * [`CircuitBreaker`] — per-device consecutive-failure breaker:
 //!   trip → quarantine for a cooldown → half-open probe → re-admission,
 //!   which keeps dead devices out of the dispatch rotation;
-//! * [`HedgeConfig`] — straggler hedging: a job whose projected
-//!   completion exceeds a multiple of its expected cost gets a replica
-//!   on another device, first completion wins, the loser is cancelled
-//!   and its partial occupancy accounted;
+//! * [`HEDGE_AFTER_MULTIPLE`] — straggler hedging: a job dispatched to
+//!   a device running at least that many times slower than its modeled
+//!   cost gets a replica on another device, first completion wins, the
+//!   loser is cancelled and its partial occupancy accounted;
 //! * [`JobError`] — the typed failure a job resolves to when every
 //!   recovery avenue is exhausted (the old pool panicked instead);
 //! * [`FaultStats`] — the failure/recovery taxonomy every batch and the
@@ -176,24 +176,10 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Straggler hedging.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HedgeConfig {
-    /// Enables hedged dispatch.
-    pub enabled: bool,
-    /// Straggler threshold: a hedge replica launches once a job has run
-    /// `after_multiple ×` its expected cost without completing.
-    pub after_multiple: f64,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            enabled: true,
-            after_multiple: 3.0,
-        }
-    }
-}
+/// Straggler threshold: a job dispatched to a device whose degraded
+/// phase multiplies its modeled cost by at least this factor gets a
+/// hedge replica on another device (in a pool of two or more).
+pub const HEDGE_AFTER_MULTIPLE: f64 = 3.0;
 
 /// Everything the pool consults when routing around failures.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -202,8 +188,6 @@ pub struct FaultPolicy {
     pub retry: RetryPolicy,
     /// Per-device breaker tuning.
     pub breaker: BreakerConfig,
-    /// Straggler hedging.
-    pub hedge: HedgeConfig,
 }
 
 /// Observed device health, derived from dispatch outcomes (not from the
@@ -298,11 +282,6 @@ impl CircuitBreaker {
             self.trips += 1;
         }
         trip
-    }
-
-    /// Whether the breaker is open (device quarantined) at `now_ns`.
-    pub fn is_quarantined_at(&self, now_ns: u64) -> bool {
-        matches!(self.state, BreakerState::Open { until_ns } if now_ns < until_ns)
     }
 
     /// Times the breaker has tripped into quarantine.
@@ -463,7 +442,6 @@ mod tests {
         assert!(b.on_failure(30), "third consecutive failure trips");
         assert_eq!(b.trips(), 1);
         assert_eq!(b.health(false), DeviceHealth::Quarantined);
-        assert!(b.is_quarantined_at(500));
         assert_eq!(b.ready_ns(40), 1030, "dispatch deferred to cooldown end");
         // Cooldown elapsed: dispatch half-opens (probe).
         assert!(b.on_dispatch(1030));

@@ -57,14 +57,6 @@ impl CircuitJob {
         self.sim_budget_ns = Some(sim_budget_ns);
         self
     }
-
-    /// A crude execution-cost estimate used by the least-loaded scheduler:
-    /// proportional to gate count plus shots×observables readout cost.
-    pub fn cost_estimate(&self) -> u64 {
-        let gates = self.circuit.len() as u64;
-        let readouts = self.shots.unwrap_or(1) as u64 * self.observables.len() as u64;
-        gates + readouts
-    }
 }
 
 /// The result of one [`CircuitJob`].
@@ -100,7 +92,8 @@ mod tests {
         });
         let job = CircuitJob::new(7, c, vec![PauliString::parse("ZZ").unwrap()], Some(100));
         assert_eq!(job.id, 7);
-        assert_eq!(job.cost_estimate(), 2 + 100);
+        assert_eq!(job.shots, Some(100));
+        assert_eq!(job.sim_budget_ns, None);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`QpuDevice`] — a simulated quantum device: state-vector execution +
 //!   shot noise + optional NISQ noise model + a latency/queue cost model
 //!   (gate time, readout time, per-job submission overhead),
-//! * [`QpuPool`] — a device pool with three scheduling policies
-//!   (round-robin, least-loaded, simulated-time work-stealing), running
-//!   its device tasks on the **same persistent rayon executor** the
+//! * [`QpuPool`] — a device pool that drains each batch through one
+//!   simulated-time dynamic queue (a job goes to the device that frees
+//!   up first), running its device tasks on the **same persistent rayon executor** the
 //!   `qsim` amplitude kernels fan out on — one shared core budget with
 //!   per-task fair-share fan-out hints instead of devices × cores
 //!   oversubscription,
@@ -36,9 +36,9 @@ pub mod scaling;
 pub use device::{QpuConfig, QpuDevice};
 pub use fault::{
     BreakerConfig, CircuitBreaker, DeviceHealth, FaultKind, FaultPolicy, FaultSchedule, FaultStats,
-    FaultWindow, HedgeConfig, JobError, JobErrorKind, RetryPolicy,
+    FaultWindow, JobError, JobErrorKind, RetryPolicy, HEDGE_AFTER_MULTIPLE,
 };
 pub use job::{CircuitJob, JobResult};
 pub use pipeline::{HybridPipeline, PipelineError, PipelineReport};
-pub use pool::{outcome_id, JobOutcome, PoolReport, QpuPool, SchedulePolicy};
+pub use pool::{outcome_id, JobOutcome, PoolReport, QpuPool};
 pub use scaling::{strong_scaling, ScalingPoint};

@@ -149,7 +149,6 @@ pub fn results_to_rows(results: &[JobResult]) -> Vec<Vec<f64>> {
 mod tests {
     use super::*;
     use crate::device::QpuConfig;
-    use crate::pool::SchedulePolicy;
     use pauli::PauliString;
     use qsim::{Circuit, Gate};
 
@@ -173,7 +172,7 @@ mod tests {
 
     #[test]
     fn pipeline_runs_both_stages() {
-        let pool = QpuPool::homogeneous(2, QpuConfig::default(), SchedulePolicy::WorkStealing);
+        let pool = QpuPool::homogeneous(2, QpuConfig::default());
         let mut pipeline = HybridPipeline::new(pool);
         let (sum, report) = pipeline
             .run(jobs(8), |results| {
@@ -188,7 +187,7 @@ mod tests {
 
     #[test]
     fn classical_stage_sees_ordered_results() {
-        let pool = QpuPool::homogeneous(3, QpuConfig::default(), SchedulePolicy::WorkStealing);
+        let pool = QpuPool::homogeneous(3, QpuConfig::default());
         let mut pipeline = HybridPipeline::new(pool);
         let (ids, _) = pipeline
             .run(jobs(12), |results| {
@@ -200,7 +199,7 @@ mod tests {
 
     #[test]
     fn results_to_rows_roundtrip() {
-        let pool = QpuPool::homogeneous(2, QpuConfig::default(), SchedulePolicy::RoundRobin);
+        let pool = QpuPool::homogeneous(2, QpuConfig::default());
         let mut pipeline = HybridPipeline::new(pool);
         let (rows, _) = pipeline.run(jobs(6), results_to_rows).unwrap();
         assert_eq!(rows.len(), 6);
@@ -245,50 +244,38 @@ mod tests {
         // A serving micro-batch where every request was shed or served
         // from cache submits nothing: the pipeline must still run the
         // classical stage (on zero rows) and report sane timings.
-        for policy in [
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::LeastLoaded,
-            SchedulePolicy::WorkStealing,
-        ] {
-            let pool = QpuPool::homogeneous(2, QpuConfig::default(), policy);
-            let mut pipeline = HybridPipeline::new(pool);
-            let (rows, report) = pipeline.run(Vec::new(), results_to_rows).unwrap();
-            assert!(rows.is_empty());
-            assert!(report.quantum_secs >= 0.0);
-            assert!(
-                report.pool.sim_makespan_secs == 0.0,
-                "no device was charged"
-            );
-            assert_eq!(report.pool.throughput, 0.0);
-        }
+        let pool = QpuPool::homogeneous(2, QpuConfig::default());
+        let mut pipeline = HybridPipeline::new(pool);
+        let (rows, report) = pipeline.run(Vec::new(), results_to_rows).unwrap();
+        assert!(rows.is_empty());
+        assert!(report.quantum_secs >= 0.0);
+        assert!(
+            report.pool.sim_makespan_secs == 0.0,
+            "no device was charged"
+        );
+        assert_eq!(report.pool.throughput, 0.0);
     }
 
     #[test]
     fn pipeline_single_device_pool() {
         // Degenerate pool: one device takes every job, utilization is
         // exactly 1, and results still arrive complete and ordered.
-        for policy in [
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::LeastLoaded,
-            SchedulePolicy::WorkStealing,
-        ] {
-            let pool = QpuPool::homogeneous(1, QpuConfig::default(), policy);
-            let mut pipeline = HybridPipeline::new(pool);
-            let (rows, report) = pipeline.run(jobs(6), results_to_rows).unwrap();
-            assert_eq!(rows.len(), 6);
-            assert_eq!(report.pool.jobs_per_device, vec![6]);
-            assert!((report.pool.utilization - 1.0).abs() < 1e-12);
-            assert!((rows[0][0] - 1.0).abs() < 1e-12, "Ry(0): ⟨Z⟩ = 1");
-        }
+        let pool = QpuPool::homogeneous(1, QpuConfig::default());
+        let mut pipeline = HybridPipeline::new(pool);
+        let (rows, report) = pipeline.run(jobs(6), results_to_rows).unwrap();
+        assert_eq!(rows.len(), 6);
+        assert_eq!(report.pool.jobs_per_device, vec![6]);
+        assert!((report.pool.utilization - 1.0).abs() < 1e-12);
+        assert!((rows[0][0] - 1.0).abs() < 1e-12, "Ry(0): ⟨Z⟩ = 1");
     }
 
     #[test]
     fn pipeline_survives_jobs_that_all_fail_first() {
         // Heavy fault injection: with fail_prob = 0.95 essentially every
-        // job fails at least once (and most several times); every policy
+        // job fails at least once (and most several times); the pool
         // must still deliver every result, bit-identical to a noiseless
         // pool, with the failed submissions charged to the sim clock.
-        let clean_pool = QpuPool::homogeneous(2, QpuConfig::default(), SchedulePolicy::RoundRobin);
+        let clean_pool = QpuPool::homogeneous(2, QpuConfig::default());
         let (clean, _) = HybridPipeline::new(clean_pool)
             .run(jobs(6), results_to_rows)
             .unwrap();
@@ -296,23 +283,17 @@ mod tests {
             fail_prob: 0.95,
             ..Default::default()
         };
-        for policy in [
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::LeastLoaded,
-            SchedulePolicy::WorkStealing,
-        ] {
-            let pool = QpuPool::homogeneous(2, flaky.clone(), policy);
-            let mut pipeline = HybridPipeline::new(pool);
-            let (rows, report) = pipeline.run(jobs(6), results_to_rows).unwrap();
-            assert_eq!(rows, clean, "retries must not change exact results");
-            // 6 jobs at 0.95 fail-prob retry ~20× each on average; the
-            // charged overhead must exceed the 6 clean submissions.
-            let clean_submit_ns = 6.0 * flaky.submit_overhead_ns as f64;
-            assert!(
-                report.pool.sim_makespan_secs * 1e9 > clean_submit_ns,
-                "failed submissions must charge the simulated clock"
-            );
-        }
+        let clean_submit_ns = 6.0 * flaky.submit_overhead_ns as f64;
+        let pool = QpuPool::homogeneous(2, flaky);
+        let mut pipeline = HybridPipeline::new(pool);
+        let (rows, report) = pipeline.run(jobs(6), results_to_rows).unwrap();
+        assert_eq!(rows, clean, "retries must not change exact results");
+        // 6 jobs at 0.95 fail-prob retry ~20× each on average; the
+        // charged overhead must exceed the 6 clean submissions.
+        assert!(
+            report.pool.sim_makespan_secs * 1e9 > clean_submit_ns,
+            "failed submissions must charge the simulated clock"
+        );
     }
 
     #[test]
@@ -322,15 +303,13 @@ mod tests {
             fail_prob: 1.0,
             ..Default::default()
         };
-        let pool = QpuPool::homogeneous(2, broken, SchedulePolicy::WorkStealing).with_fault_policy(
-            FaultPolicy {
-                retry: RetryPolicy {
-                    max_attempts_total: 3,
-                    ..Default::default()
-                },
+        let pool = QpuPool::homogeneous(2, broken).with_fault_policy(FaultPolicy {
+            retry: RetryPolicy {
+                max_attempts_total: 3,
                 ..Default::default()
             },
-        );
+            ..Default::default()
+        });
         let mut pipeline = HybridPipeline::new(pool);
         let mut classical_ran = false;
         let err = pipeline

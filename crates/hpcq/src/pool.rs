@@ -1,33 +1,29 @@
 //! Multi-QPU scheduling with fault domains.
 //!
-//! The host scatters a batch of [`CircuitJob`]s over the device pool.
-//! Three policies:
+//! The host scatters a batch of [`CircuitJob`]s over the device pool
+//! through one shared queue, drained in *simulated* time: each job goes
+//! to whichever device's clock frees up first (lowest index on ties).
+//! That is greedy list scheduling, so a healthy batch's simulated
+//! makespan stays within Graham's bound `Σcost / devices + max cost`,
+//! and placement is independent of host thread count and fully
+//! reproducible.
 //!
-//! * [`SchedulePolicy::RoundRobin`] — static cyclic assignment; zero
-//!   scheduling cost, poor balance for heterogeneous jobs.
-//! * [`SchedulePolicy::LeastLoaded`] — greedy offline assignment by the
-//!   devices' simulated clocks using each job's cost estimate (classic
-//!   LPT-style list scheduling).
-//! * [`SchedulePolicy::WorkStealing`] — dynamic: one shared queue,
-//!   drained in *simulated* time by whichever device's clock frees up
-//!   first (placement is independent of host thread count and fully
-//!   reproducible).
-//!
-//! All three feed one **sim-time dispatch engine** that routes around
+//! The queue feeds one **sim-time dispatch engine** that routes around
 //! the fault domains of [`crate::fault`]:
 //!
 //! * failed submissions (transient draws, hard-outage windows) charge
 //!   the submission overhead and retry under a bounded
-//!   [`RetryPolicy`](crate::fault::RetryPolicy) — exponential backoff on
+//!   [`RetryPolicy`] — exponential backoff on
 //!   the simulated clock, failover to a different device after a run of
 //!   local failures, typed
 //!   [`RetriesExhausted`](crate::fault::JobErrorKind::RetriesExhausted)
 //!   when the budget runs out (the old pool panicked here);
 //! * per-device circuit breakers quarantine devices after consecutive
 //!   failures and re-admit them through half-open probes;
-//! * jobs landing on a degraded (straggler) device get a hedge replica
-//!   on another device — first completion wins, the loser's partial
-//!   occupancy is charged to its device;
+//! * jobs landing on a device degraded by at least
+//!   [`HEDGE_AFTER_MULTIPLE`] get a hedge replica on another device —
+//!   first completion wins, the loser's partial occupancy is charged to
+//!   its device;
 //! * jobs carrying a deadline budget are never dispatched or retried
 //!   past it — they resolve to a typed
 //!   [`DeadlineExpired`](crate::fault::JobErrorKind::DeadlineExpired).
@@ -43,21 +39,13 @@
 //! Results are returned in job-id order regardless of completion order.
 
 use crate::device::{QpuConfig, QpuDevice};
-use crate::fault::{CircuitBreaker, DeviceHealth, FaultPolicy, FaultStats, JobError, JobErrorKind};
+use crate::fault::{
+    CircuitBreaker, DeviceHealth, FaultPolicy, FaultStats, JobError, JobErrorKind, RetryPolicy,
+    HEDGE_AFTER_MULTIPLE,
+};
 use crate::job::{CircuitJob, JobResult};
 use std::collections::VecDeque;
 use std::time::Instant;
-
-/// Job-to-device assignment policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulePolicy {
-    /// Static cyclic assignment.
-    RoundRobin,
-    /// Greedy assignment to the device with the least simulated load.
-    LeastLoaded,
-    /// Dynamic work stealing from a shared queue.
-    WorkStealing,
-}
 
 /// How one job left the pool: a result, or a typed terminal failure.
 pub type JobOutcome = Result<JobResult, JobError>;
@@ -70,18 +58,20 @@ pub fn outcome_id(outcome: &JobOutcome) -> u64 {
     }
 }
 
-/// Aggregate statistics of one batch execution.
+/// Aggregate statistics of one batch execution. Every field covers this
+/// batch alone, not the devices' lifetime totals.
 #[derive(Clone, Debug)]
 pub struct PoolReport {
     /// Wall-clock seconds for the whole batch.
     pub wall_secs: f64,
-    /// Simulated makespan: the maximum per-device simulated busy time (s).
+    /// Simulated makespan: the maximum per-device simulated busy time
+    /// charged by this batch (s).
     pub sim_makespan_secs: f64,
-    /// Mean device utilization: mean(busy) / max(busy).
+    /// Mean device utilization over this batch: mean(busy) / max(busy).
     pub utilization: f64,
     /// Completed jobs per wall-clock second.
     pub throughput: f64,
-    /// Per-device job counts.
+    /// Jobs each device completed in this batch.
     pub jobs_per_device: Vec<usize>,
     /// Failure/recovery taxonomy of this batch.
     pub faults: FaultStats,
@@ -117,9 +107,9 @@ enum Disposition {
 struct Dispatcher<'a> {
     devices: &'a [QpuDevice],
     breakers: &'a mut [CircuitBreaker],
-    policy: FaultPolicy,
+    retry: RetryPolicy,
     /// Per-device simulated timeline position (starts at the device's
-    /// accumulated busy time, like the pre-fault work-stealing dispatch).
+    /// accumulated busy time).
     clock: Vec<u64>,
     /// Per-device busy time charged this batch (executed jobs, failed
     /// submissions, cancelled hedge partials — idle backoff/cooldown
@@ -137,14 +127,14 @@ impl<'a> Dispatcher<'a> {
     fn new(
         devices: &'a [QpuDevice],
         breakers: &'a mut [CircuitBreaker],
-        policy: FaultPolicy,
+        retry: RetryPolicy,
     ) -> Self {
         let n = devices.len();
         let clock: Vec<u64> = devices.iter().map(QpuDevice::sim_busy_ns).collect();
         Dispatcher {
             devices,
             breakers,
-            policy,
+            retry,
             clock,
             busy: vec![0; n],
             placed: vec![Vec::new(); n],
@@ -220,12 +210,12 @@ impl<'a> Dispatcher<'a> {
                 p.failed_on = Some(d);
                 p.local_attempts = 1;
             }
-            if p.attempts >= self.policy.retry.max_attempts_total {
+            if p.attempts >= self.retry.max_attempts_total {
                 self.fail_terminal(&p, JobErrorKind::RetriesExhausted);
                 return Disposition::Resolved;
             }
             self.stats.retries += 1;
-            p.ready_ns = end + self.policy.retry.backoff_ns(p.attempts);
+            p.ready_ns = end + self.retry.backoff_ns(p.attempts);
             if p.ready_ns > p.deadline_ns {
                 self.fail_terminal(
                     &p,
@@ -279,7 +269,8 @@ impl<'a> Dispatcher<'a> {
     /// A hedge target for a straggling primary: the device (≠ `d`) with
     /// the earliest replica completion, provided it is up, its failure
     /// draw passes, it can start before the primary finishes, and the
-    /// primary really is straggling (`mult` at/over the threshold).
+    /// primary really is straggling (`mult` at/over
+    /// [`HEDGE_AFTER_MULTIPLE`]).
     fn hedge_candidate(
         &self,
         p: &Pending,
@@ -288,8 +279,7 @@ impl<'a> Dispatcher<'a> {
         primary_end: u64,
         mult: f64,
     ) -> Option<(usize, u64, u64)> {
-        let hedge = self.policy.hedge;
-        if !hedge.enabled || mult < hedge.after_multiple || self.devices.len() < 2 {
+        if mult < HEDGE_AFTER_MULTIPLE || self.devices.len() < 2 {
             return None;
         }
         (0..self.devices.len())
@@ -317,7 +307,6 @@ impl<'a> Dispatcher<'a> {
 /// A pool of simulated QPUs.
 pub struct QpuPool {
     devices: Vec<QpuDevice>,
-    policy: SchedulePolicy,
     fault_policy: FaultPolicy,
     breakers: Vec<CircuitBreaker>,
     hedged_last: Vec<bool>,
@@ -327,7 +316,7 @@ pub struct QpuPool {
 impl QpuPool {
     /// Builds a homogeneous pool of `count` devices (seeds staggered so
     /// devices draw independent shot noise).
-    pub fn homogeneous(count: usize, base: QpuConfig, policy: SchedulePolicy) -> Self {
+    pub fn homogeneous(count: usize, base: QpuConfig) -> Self {
         assert!(count >= 1);
         let devices = (0..count)
             .map(|i| {
@@ -336,26 +325,25 @@ impl QpuPool {
                 QpuDevice::new(i, cfg)
             })
             .collect();
-        Self::from_devices(devices, policy)
+        Self::from_devices(devices)
     }
 
     /// Builds a pool from explicit device configurations.
-    pub fn heterogeneous(configs: Vec<QpuConfig>, policy: SchedulePolicy) -> Self {
+    pub fn heterogeneous(configs: Vec<QpuConfig>) -> Self {
         assert!(!configs.is_empty());
         let devices = configs
             .into_iter()
             .enumerate()
             .map(|(i, c)| QpuDevice::new(i, c))
             .collect();
-        Self::from_devices(devices, policy)
+        Self::from_devices(devices)
     }
 
-    fn from_devices(devices: Vec<QpuDevice>, policy: SchedulePolicy) -> Self {
+    fn from_devices(devices: Vec<QpuDevice>) -> Self {
         let fault_policy = FaultPolicy::default();
         let n = devices.len();
         QpuPool {
             devices,
-            policy,
             fault_policy,
             breakers: vec![CircuitBreaker::new(fault_policy.breaker); n],
             hedged_last: vec![false; n],
@@ -363,17 +351,12 @@ impl QpuPool {
         }
     }
 
-    /// Replaces the fault policy (retry/failover bounds, breaker tuning,
-    /// hedging); resets the breakers to the new configuration.
+    /// Replaces the fault policy (retry/failover bounds, breaker
+    /// tuning); resets the breakers to the new configuration.
     pub fn with_fault_policy(mut self, fault_policy: FaultPolicy) -> Self {
         self.fault_policy = fault_policy;
         self.breakers = vec![CircuitBreaker::new(fault_policy.breaker); self.devices.len()];
         self
-    }
-
-    /// The scheduling policy.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
     }
 
     /// The fault policy in force.
@@ -411,54 +394,29 @@ impl QpuPool {
 
         // Phase 1: sequential simulated-time dispatch — placement, retry,
         // failover, breakers, hedging. Deterministic by construction.
-        let mut dispatcher = Dispatcher::new(&self.devices, &mut self.breakers, self.fault_policy);
+        let mut dispatcher =
+            Dispatcher::new(&self.devices, &mut self.breakers, self.fault_policy.retry);
         let origin = dispatcher.origin();
-        let pend = |job: CircuitJob| {
-            let deadline_ns = job
-                .sim_budget_ns
-                .map_or(u64::MAX, |b| origin.saturating_add(b));
-            Pending {
-                job,
-                attempts: 0,
-                local_attempts: 0,
-                failed_on: None,
-                ready_ns: 0,
-                deadline_ns,
-            }
-        };
-        match self.policy {
-            SchedulePolicy::RoundRobin => {
-                let eligible = eligible_devices(&dispatcher);
-                let mut queues: Vec<VecDeque<Pending>> =
-                    (0..n_dev).map(|_| VecDeque::new()).collect();
-                for (i, job) in jobs.into_iter().enumerate() {
-                    queues[eligible[i % eligible.len()]].push_back(pend(job));
+        let mut queue: VecDeque<Pending> = jobs
+            .into_iter()
+            .map(|job| {
+                let deadline_ns = job
+                    .sim_budget_ns
+                    .map_or(u64::MAX, |b| origin.saturating_add(b));
+                Pending {
+                    job,
+                    attempts: 0,
+                    local_attempts: 0,
+                    failed_on: None,
+                    ready_ns: 0,
+                    deadline_ns,
                 }
-                drain_static(&mut dispatcher, queues);
-            }
-            SchedulePolicy::LeastLoaded => {
-                // Greedy: largest jobs first onto the least-loaded device.
-                let eligible = eligible_devices(&dispatcher);
-                let mut indexed: Vec<CircuitJob> = jobs;
-                indexed.sort_by_key(|j| std::cmp::Reverse(j.cost_estimate()));
-                let mut load = vec![0u64; n_dev];
-                let mut queues: Vec<VecDeque<Pending>> =
-                    (0..n_dev).map(|_| VecDeque::new()).collect();
-                for job in indexed {
-                    let dev = eligible.iter().copied().min_by_key(|&i| load[i]).unwrap();
-                    load[dev] += self.devices[dev].sim_cost_ns(&job);
-                    queues[dev].push_back(pend(job));
-                }
-                drain_static(&mut dispatcher, queues);
-            }
-            SchedulePolicy::WorkStealing => {
-                let mut queue: VecDeque<Pending> = jobs.into_iter().map(pend).collect();
-                while let Some(p) = queue.pop_front() {
-                    let d = stealing_target(&dispatcher, &p);
-                    if let Disposition::Requeue(p) = dispatcher.dispatch(p, d) {
-                        queue.push_back(p);
-                    }
-                }
+            })
+            .collect();
+        while let Some(p) = queue.pop_front() {
+            let d = dispatch_target(&dispatcher, &p);
+            if let Disposition::Requeue(p) = dispatcher.dispatch(p, d) {
+                queue.push_back(p);
             }
         }
         let Dispatcher {
@@ -498,7 +456,7 @@ impl QpuPool {
                 });
             }
         });
-        for ((dev, add), work) in self.devices.iter_mut().zip(busy).zip(&placed) {
+        for ((dev, &add), work) in self.devices.iter_mut().zip(&busy).zip(&placed) {
             dev.charge(add, work.len());
         }
 
@@ -512,7 +470,6 @@ impl QpuPool {
         let completed = outcomes.iter().filter(|o| o.is_ok()).count();
 
         let wall_secs = started.elapsed().as_secs_f64();
-        let busy: Vec<u64> = self.devices.iter().map(|d| d.sim_busy_ns()).collect();
         let max_busy = *busy.iter().max().unwrap() as f64;
         let mean_busy = busy.iter().sum::<u64>() as f64 / n_dev as f64;
         let report = PoolReport {
@@ -524,7 +481,7 @@ impl QpuPool {
                 1.0
             },
             throughput: completed as f64 / wall_secs.max(1e-12),
-            jobs_per_device: self.devices.iter().map(|d| d.jobs_run()).collect(),
+            jobs_per_device: placed.iter().map(Vec::len).collect(),
             faults: stats,
         };
         (outcomes, report)
@@ -539,71 +496,14 @@ impl QpuPool {
     }
 }
 
-/// Devices in the static-assignment rotation: quarantined devices are
-/// skipped unless *every* device is quarantined (then jobs wait out the
-/// shortest cooldown instead of having nowhere to go).
-fn eligible_devices(d: &Dispatcher<'_>) -> Vec<usize> {
-    let up: Vec<usize> = (0..d.devices.len())
-        .filter(|&i| !d.breakers[i].is_quarantined_at(d.clock[i]))
-        .collect();
-    if up.is_empty() {
-        (0..d.devices.len()).collect()
-    } else {
-        up
-    }
-}
-
-/// Drains statically assigned per-device queues in simulated-time order:
-/// the device whose head job can dispatch earliest goes next (lowest
-/// index on ties), so cross-device moves (failover) interleave
-/// deterministically. Transient failures retry at the head of their
-/// queue — in place, like the pre-fault pool — until the local-attempt
-/// budget moves the job to the device that frees up earliest.
-fn drain_static(dispatcher: &mut Dispatcher<'_>, mut queues: Vec<VecDeque<Pending>>) {
-    loop {
-        let next = (0..queues.len())
-            .filter(|&d| !queues[d].is_empty())
-            .min_by_key(|&d| {
-                (
-                    dispatcher
-                        .free_ns(d)
-                        .max(queues[d].front().unwrap().ready_ns),
-                    d,
-                )
-            });
-        let Some(d) = next else { break };
-        let p = queues[d].pop_front().unwrap();
-        if let Disposition::Requeue(p) = dispatcher.dispatch(p, d) {
-            let max_local = dispatcher.policy.retry.max_attempts_per_device;
-            let target = if p.local_attempts >= max_local && queues.len() > 1 {
-                // Failover: hand the job to whichever other device frees
-                // up earliest.
-                (0..queues.len())
-                    .filter(|&c| c != d)
-                    .min_by_key(|&c| (dispatcher.free_ns(c), c))
-                    .unwrap()
-            } else {
-                d
-            };
-            if target == d {
-                queues[d].push_front(p);
-            } else {
-                queues[target].push_back(p);
-            }
-        }
-    }
-}
-
-/// The work-stealing pull target for `p`: the device that could dispatch
-/// it earliest (breaker cooldowns included, lowest index on ties),
-/// excluding the device it just failed on once the local-attempt budget
-/// forces a failover.
-fn stealing_target(dispatcher: &Dispatcher<'_>, p: &Pending) -> usize {
+/// The device `p` goes to: the one that could dispatch it earliest
+/// (breaker cooldowns included, lowest index on ties), excluding the
+/// device it just failed on once the local-attempt budget forces a
+/// failover.
+fn dispatch_target(dispatcher: &Dispatcher<'_>, p: &Pending) -> usize {
     let n = dispatcher.devices.len();
     let exclude = match p.failed_on {
-        Some(prev)
-            if n > 1 && p.local_attempts >= dispatcher.policy.retry.max_attempts_per_device =>
-        {
+        Some(prev) if n > 1 && p.local_attempts >= dispatcher.retry.max_attempts_per_device => {
             Some(prev)
         }
         _ => None,
@@ -617,7 +517,7 @@ fn stealing_target(dispatcher: &Dispatcher<'_>, p: &Pending) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{BreakerConfig, FaultSchedule, HedgeConfig, RetryPolicy};
+    use crate::fault::{BreakerConfig, FaultSchedule, RetryPolicy};
     use pauli::PauliString;
     use qsim::{Circuit, Gate};
 
@@ -654,85 +554,80 @@ mod tests {
             .collect()
     }
 
-    const ALL_POLICIES: [SchedulePolicy; 3] = [
-        SchedulePolicy::RoundRobin,
-        SchedulePolicy::LeastLoaded,
-        SchedulePolicy::WorkStealing,
-    ];
-
     #[test]
-    fn all_policies_return_all_results_in_order() {
-        for policy in ALL_POLICIES {
-            let mut pool = QpuPool::homogeneous(3, QpuConfig::default(), policy);
-            let (results, report) = pool.execute_batch(make_jobs(20, None));
-            let results = unwrap_all(results);
-            assert_eq!(results.len(), 20, "{policy:?}");
-            for (i, r) in results.iter().enumerate() {
-                assert_eq!(r.id, i as u64, "{policy:?}");
-            }
-            assert_eq!(report.jobs_per_device.iter().sum::<usize>(), 20);
-            assert_eq!(report.faults, FaultStats::default(), "healthy pool");
+    fn returns_all_results_in_order() {
+        let mut pool = QpuPool::homogeneous(3, QpuConfig::default());
+        let (results, report) = pool.execute_batch(make_jobs(20, None));
+        let results = unwrap_all(results);
+        assert_eq!(results.len(), 20);
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(r.id, i as u64);
         }
-    }
-
-    #[test]
-    fn exact_results_are_policy_independent() {
-        let run = |policy| {
-            let mut pool = QpuPool::homogeneous(4, QpuConfig::default(), policy);
-            unwrap_all(pool.execute_batch(make_jobs(15, None)).0)
-        };
-        let a = run(SchedulePolicy::RoundRobin);
-        let b = run(SchedulePolicy::WorkStealing);
-        let c = run(SchedulePolicy::LeastLoaded);
-        for ((x, y), z) in a.iter().zip(b.iter()).zip(c.iter()) {
-            assert_eq!(x.values, y.values);
-            assert_eq!(x.values, z.values);
-        }
+        assert_eq!(report.jobs_per_device.iter().sum::<usize>(), 20);
+        assert_eq!(report.faults, FaultStats::default(), "healthy pool");
     }
 
     #[test]
     fn round_robin_balances_job_counts() {
-        let mut pool = QpuPool::homogeneous(4, QpuConfig::default(), SchedulePolicy::RoundRobin);
+        // Equal jobs on a homogeneous pool: the list scheduler spreads
+        // them as evenly as round-robin would, counts differing by at
+        // most one.
+        let mut pool = QpuPool::homogeneous(3, QpuConfig::default());
         let (_, report) = pool.execute_batch(make_jobs(20, None));
-        assert!(report.jobs_per_device.iter().all(|&c| c == 5));
+        let min = report.jobs_per_device.iter().min().unwrap();
+        let max = report.jobs_per_device.iter().max().unwrap();
+        assert!(max - min <= 1, "{:?}", report.jobs_per_device);
     }
 
     #[test]
     fn least_loaded_balances_heterogeneous_costs() {
-        // Jobs with wildly different shot counts; least-loaded should beat
-        // round-robin on simulated makespan.
-        let mixed = |seed_shots: &[usize]| -> Vec<CircuitJob> {
-            seed_shots
-                .iter()
-                .enumerate()
-                .map(|(id, &s)| {
-                    let mut c = Circuit::new(2);
-                    c.push(Gate::H(0));
-                    CircuitJob::new(
-                        id as u64,
-                        c,
-                        vec![PauliString::parse("ZI").unwrap()],
-                        Some(s),
-                    )
-                })
-                .collect()
-        };
+        // Wildly different shot counts: any work-conserving list
+        // scheduler keeps the makespan within Σcost/devices + max cost
+        // (Graham's bound).
         let shots = [10_000, 10, 10, 10, 10_000, 10, 10, 10];
-        let mut rr = QpuPool::homogeneous(2, QpuConfig::default(), SchedulePolicy::RoundRobin);
-        let (_, rr_report) = rr.execute_batch(mixed(&shots));
-        let mut ll = QpuPool::homogeneous(2, QpuConfig::default(), SchedulePolicy::LeastLoaded);
-        let (_, ll_report) = ll.execute_batch(mixed(&shots));
+        let mixed: Vec<CircuitJob> = shots
+            .iter()
+            .enumerate()
+            .map(|(id, &s)| {
+                let mut c = Circuit::new(2);
+                c.push(Gate::H(0));
+                CircuitJob::new(
+                    id as u64,
+                    c,
+                    vec![PauliString::parse("ZI").unwrap()],
+                    Some(s),
+                )
+            })
+            .collect();
+        let devices = 2;
+        let probe = QpuDevice::new(0, QpuConfig::default());
+        let costs: Vec<u64> = mixed.iter().map(|j| probe.sim_cost_ns(j)).collect();
+        let bound =
+            costs.iter().sum::<u64>() as f64 / devices as f64 + *costs.iter().max().unwrap() as f64;
+        let mut pool = QpuPool::homogeneous(devices, QpuConfig::default());
+        let (_, report) = pool.execute_batch(mixed);
         assert!(
-            ll_report.sim_makespan_secs <= rr_report.sim_makespan_secs,
-            "LL {} vs RR {}",
-            ll_report.sim_makespan_secs,
-            rr_report.sim_makespan_secs
+            report.sim_makespan_secs * 1e9 <= bound,
+            "makespan {} s over Graham's bound {} ns",
+            report.sim_makespan_secs,
+            bound
         );
     }
 
     #[test]
+    fn report_describes_one_batch() {
+        let mut pool = QpuPool::homogeneous(3, QpuConfig::default());
+        let (_, first) = pool.execute_batch(make_jobs(12, None));
+        assert_eq!(first.jobs_per_device.iter().sum::<usize>(), 12);
+        let (_, second) = pool.execute_batch(make_jobs(7, None));
+        assert_eq!(second.jobs_per_device.iter().sum::<usize>(), 7);
+        assert!(second.sim_makespan_secs < first.sim_makespan_secs);
+        assert!(second.utilization > 0.0 && second.utilization <= 1.0 + 1e-12);
+    }
+
+    #[test]
     fn utilization_in_unit_interval() {
-        let mut pool = QpuPool::homogeneous(3, QpuConfig::default(), SchedulePolicy::WorkStealing);
+        let mut pool = QpuPool::homogeneous(3, QpuConfig::default());
         let (_, report) = pool.execute_batch(make_jobs(30, Some(50)));
         assert!(report.utilization > 0.0 && report.utilization <= 1.0 + 1e-12);
         assert!(report.throughput > 0.0);
@@ -741,29 +636,26 @@ mod tests {
 
     #[test]
     fn fault_injection_all_jobs_still_complete() {
-        // 30% transient failure rate: every policy must still deliver every
+        // 30% transient failure rate: the pool must still deliver every
         // job exactly once, with identical exact values.
         let config = QpuConfig {
             fail_prob: 0.3,
             ..Default::default()
         };
         let reference = {
-            let mut pool =
-                QpuPool::homogeneous(3, QpuConfig::default(), SchedulePolicy::RoundRobin);
+            let mut pool = QpuPool::homogeneous(3, QpuConfig::default());
             unwrap_all(pool.execute_batch(make_jobs(24, None)).0)
         };
-        for policy in ALL_POLICIES {
-            let mut pool = QpuPool::homogeneous(3, config.clone(), policy);
-            let (results, report) = pool.execute_batch(make_jobs(24, None));
-            let results = unwrap_all(results);
-            assert_eq!(results.len(), 24, "{policy:?} lost jobs");
-            for (r, want) in results.iter().zip(reference.iter()) {
-                assert_eq!(r.id, want.id, "{policy:?}");
-                assert_eq!(r.values, want.values, "{policy:?} corrupted results");
-            }
-            assert_eq!(report.jobs_per_device.iter().sum::<usize>(), 24);
-            assert!(report.faults.retries > 0, "{policy:?} must observe retries");
+        let mut pool = QpuPool::homogeneous(3, config);
+        let (results, report) = pool.execute_batch(make_jobs(24, None));
+        let results = unwrap_all(results);
+        assert_eq!(results.len(), 24, "lost jobs");
+        for (r, want) in results.iter().zip(reference.iter()) {
+            assert_eq!(r.id, want.id);
+            assert_eq!(r.values, want.values, "corrupted results");
         }
+        assert_eq!(report.jobs_per_device.iter().sum::<usize>(), 24);
+        assert!(report.faults.retries > 0, "must observe retries");
     }
 
     #[test]
@@ -773,9 +665,9 @@ mod tests {
             fail_prob: 0.5,
             ..Default::default()
         };
-        let mut clean_pool = QpuPool::homogeneous(1, clean, SchedulePolicy::RoundRobin);
+        let mut clean_pool = QpuPool::homogeneous(1, clean);
         let (_, clean_report) = clean_pool.execute_batch(make_jobs(20, None));
-        let mut flaky_pool = QpuPool::homogeneous(1, flaky, SchedulePolicy::RoundRobin);
+        let mut flaky_pool = QpuPool::homogeneous(1, flaky);
         let (_, flaky_report) = flaky_pool.execute_batch(make_jobs(20, None));
         assert!(
             flaky_report.sim_makespan_secs > clean_report.sim_makespan_secs,
@@ -796,7 +688,7 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let mut pool = QpuPool::heterogeneous(vec![fast, slow], SchedulePolicy::WorkStealing);
+        let mut pool = QpuPool::heterogeneous(vec![fast, slow]);
         let (results, _) = pool.execute_batch(make_jobs(10, None));
         assert_eq!(unwrap_all(results).len(), 10);
     }
@@ -810,25 +702,22 @@ mod tests {
             fail_prob: 1.0,
             ..Default::default()
         };
-        for policy in ALL_POLICIES {
-            let mut pool =
-                QpuPool::homogeneous(1, config.clone(), policy).with_fault_policy(FaultPolicy {
-                    retry: RetryPolicy {
-                        max_attempts_total: 4,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                });
-            let (outcomes, report) = pool.execute_batch(make_jobs(3, None));
-            assert_eq!(outcomes.len(), 3, "{policy:?}");
-            for (i, o) in outcomes.iter().enumerate() {
-                let err = o.as_ref().expect_err("must fail");
-                assert_eq!(err.id, i as u64);
-                assert_eq!(err.attempts, 4);
-                assert_eq!(err.kind, JobErrorKind::RetriesExhausted, "{policy:?}");
-            }
-            assert_eq!(report.faults.jobs_failed, 3);
+        let mut pool = QpuPool::homogeneous(1, config).with_fault_policy(FaultPolicy {
+            retry: RetryPolicy {
+                max_attempts_total: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        let (outcomes, report) = pool.execute_batch(make_jobs(3, None));
+        assert_eq!(outcomes.len(), 3);
+        for (i, o) in outcomes.iter().enumerate() {
+            let err = o.as_ref().expect_err("must fail");
+            assert_eq!(err.id, i as u64);
+            assert_eq!(err.attempts, 4);
+            assert_eq!(err.kind, JobErrorKind::RetriesExhausted);
         }
+        assert_eq!(report.faults.jobs_failed, 3);
     }
 
     #[test]
@@ -844,21 +733,18 @@ mod tests {
             ..Default::default()
         };
         let clean = {
-            let mut pool =
-                QpuPool::homogeneous(2, QpuConfig::default(), SchedulePolicy::RoundRobin);
+            let mut pool = QpuPool::homogeneous(2, QpuConfig::default());
             unwrap_all(pool.execute_batch(make_jobs(12, None)).0)
         };
-        for policy in ALL_POLICIES {
-            let mut pool = QpuPool::heterogeneous(vec![down.clone(), up.clone()], policy);
-            let (outcomes, report) = pool.execute_batch(make_jobs(12, None));
-            let results = unwrap_all(outcomes);
-            assert_eq!(results.len(), 12, "{policy:?}");
-            for (r, want) in results.iter().zip(clean.iter()) {
-                assert_eq!(r.values, want.values, "{policy:?}: failover changed values");
-                assert_eq!(r.device, 1, "{policy:?}: job ran on the dead device");
-            }
-            assert!(report.faults.failovers > 0, "{policy:?} must fail over");
+        let mut pool = QpuPool::heterogeneous(vec![down, up]);
+        let (outcomes, report) = pool.execute_batch(make_jobs(12, None));
+        let results = unwrap_all(outcomes);
+        assert_eq!(results.len(), 12);
+        for (r, want) in results.iter().zip(clean.iter()) {
+            assert_eq!(r.values, want.values, "failover changed values");
+            assert_eq!(r.device, 1, "job ran on the dead device");
         }
+        assert!(report.faults.failovers > 0, "must fail over");
     }
 
     #[test]
@@ -867,17 +753,15 @@ mod tests {
             faults: FaultSchedule::none().with_outage(0, u64::MAX),
             ..Default::default()
         };
-        let mut pool = QpuPool::heterogeneous(
-            vec![dead, QpuConfig::default()],
-            SchedulePolicy::WorkStealing,
-        )
-        .with_fault_policy(FaultPolicy {
-            breaker: BreakerConfig {
-                failure_threshold: 3,
-                cooldown_ns: u64::MAX / 2,
+        let mut pool = QpuPool::heterogeneous(vec![dead, QpuConfig::default()]).with_fault_policy(
+            FaultPolicy {
+                breaker: BreakerConfig {
+                    failure_threshold: 3,
+                    cooldown_ns: u64::MAX / 2,
+                },
+                ..Default::default()
             },
-            ..Default::default()
-        });
+        );
         let (outcomes, report) = pool.execute_batch(make_jobs(20, None));
         assert!(outcomes.iter().all(|o| o.is_ok()));
         assert!(report.faults.breaker_trips >= 1, "dead device must trip");
@@ -897,17 +781,14 @@ mod tests {
             faults: FaultSchedule::none().with_outage(0, 100_000),
             ..Default::default()
         };
-        let mut pool = QpuPool::heterogeneous(
-            vec![flappy, QpuConfig::default()],
-            SchedulePolicy::WorkStealing,
-        )
-        .with_fault_policy(FaultPolicy {
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown_ns: 200_000,
-            },
-            ..Default::default()
-        });
+        let mut pool = QpuPool::heterogeneous(vec![flappy, QpuConfig::default()])
+            .with_fault_policy(FaultPolicy {
+                breaker: BreakerConfig {
+                    failure_threshold: 2,
+                    cooldown_ns: 200_000,
+                },
+                ..Default::default()
+            });
         let (outcomes, report) = pool.execute_batch(make_jobs(40, None));
         assert!(outcomes.iter().all(|o| o.is_ok()));
         assert!(report.faults.breaker_trips >= 1);
@@ -927,8 +808,7 @@ mod tests {
             faults: FaultSchedule::none().with_degraded(0, u64::MAX, 10.0),
             ..Default::default()
         };
-        let mut pool =
-            QpuPool::heterogeneous(vec![slow, QpuConfig::default()], SchedulePolicy::RoundRobin);
+        let mut pool = QpuPool::heterogeneous(vec![slow, QpuConfig::default()]);
         let (outcomes, report) = pool.execute_batch(make_jobs(10, None));
         let results = unwrap_all(outcomes);
         assert!(
@@ -944,30 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn hedging_can_be_disabled() {
-        let slow = QpuConfig {
-            faults: FaultSchedule::none().with_degraded(0, u64::MAX, 10.0),
-            ..Default::default()
-        };
-        let mut pool =
-            QpuPool::heterogeneous(vec![slow, QpuConfig::default()], SchedulePolicy::RoundRobin)
-                .with_fault_policy(FaultPolicy {
-                    hedge: HedgeConfig {
-                        enabled: false,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                });
-        let (outcomes, report) = pool.execute_batch(make_jobs(10, None));
-        assert!(outcomes.iter().all(|o| o.is_ok()));
-        assert_eq!(report.faults.hedges_launched, 0);
-        assert!(
-            unwrap_all(outcomes).iter().any(|r| r.device == 0),
-            "without hedging the straggler keeps its share"
-        );
-    }
-
-    #[test]
     fn deadline_budget_expires_as_typed_error() {
         // One always-failing device and a deadline too tight to ride out
         // the retries: jobs resolve to DeadlineExpired, not a hang.
@@ -975,40 +831,36 @@ mod tests {
             fail_prob: 1.0,
             ..Default::default()
         };
-        for policy in ALL_POLICIES {
-            let mut pool = QpuPool::homogeneous(1, config.clone(), policy);
-            let jobs: Vec<CircuitJob> = make_jobs(2, None)
-                .into_iter()
-                .map(|j| j.with_budget(50_000))
-                .collect();
-            let (outcomes, _) = pool.execute_batch(jobs);
-            for o in outcomes {
-                let err = o.expect_err("deadline must expire");
-                assert!(
-                    matches!(err.kind, JobErrorKind::DeadlineExpired { .. }),
-                    "{policy:?}: got {:?}",
-                    err.kind
-                );
-            }
+        let mut pool = QpuPool::homogeneous(1, config);
+        let jobs: Vec<CircuitJob> = make_jobs(2, None)
+            .into_iter()
+            .map(|j| j.with_budget(50_000))
+            .collect();
+        let (outcomes, _) = pool.execute_batch(jobs);
+        for o in outcomes {
+            let err = o.expect_err("deadline must expire");
+            assert!(
+                matches!(err.kind, JobErrorKind::DeadlineExpired { .. }),
+                "got {:?}",
+                err.kind
+            );
         }
     }
 
     #[test]
     fn generous_deadline_does_not_fail_jobs() {
-        for policy in ALL_POLICIES {
-            let mut pool = QpuPool::homogeneous(2, QpuConfig::default(), policy);
-            let jobs: Vec<CircuitJob> = make_jobs(8, None)
-                .into_iter()
-                .map(|j| j.with_budget(u64::MAX / 2))
-                .collect();
-            let (outcomes, _) = pool.execute_batch(jobs);
-            assert!(outcomes.iter().all(|o| o.is_ok()), "{policy:?}");
-        }
+        let mut pool = QpuPool::homogeneous(2, QpuConfig::default());
+        let jobs: Vec<CircuitJob> = make_jobs(8, None)
+            .into_iter()
+            .map(|j| j.with_budget(u64::MAX / 2))
+            .collect();
+        let (outcomes, _) = pool.execute_batch(jobs);
+        assert!(outcomes.iter().all(|o| o.is_ok()));
     }
 
     #[test]
     fn completion_times_are_monotone_in_latency_model() {
-        let mut pool = QpuPool::homogeneous(2, QpuConfig::default(), SchedulePolicy::WorkStealing);
+        let mut pool = QpuPool::homogeneous(2, QpuConfig::default());
         let (outcomes, _) = pool.execute_batch(make_jobs(8, Some(100)));
         for r in unwrap_all(outcomes) {
             assert!(r.sim_completed_ns >= r.sim_busy_ns);
@@ -1021,7 +873,7 @@ mod tests {
             fail_prob: 0.4,
             ..Default::default()
         };
-        let mut pool = QpuPool::homogeneous(2, flaky, SchedulePolicy::WorkStealing);
+        let mut pool = QpuPool::homogeneous(2, flaky);
         let (_, first) = pool.execute_batch(make_jobs(16, None));
         let after_first = *pool.fault_stats();
         let (_, second) = pool.execute_batch(make_jobs(16, None));

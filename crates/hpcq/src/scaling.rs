@@ -2,7 +2,7 @@
 
 use crate::device::QpuConfig;
 use crate::job::CircuitJob;
-use crate::pool::{QpuPool, SchedulePolicy};
+use crate::pool::QpuPool;
 
 /// One point of a strong-scaling sweep.
 #[derive(Clone, Debug)]
@@ -26,13 +26,12 @@ pub fn strong_scaling(
     jobs: &[CircuitJob],
     device_counts: &[usize],
     config: QpuConfig,
-    policy: SchedulePolicy,
 ) -> Vec<ScalingPoint> {
     assert!(!jobs.is_empty() && !device_counts.is_empty());
     let mut out: Vec<ScalingPoint> = Vec::new();
     let mut baseline_wall = 0.0;
     for (i, &count) in device_counts.iter().enumerate() {
-        let mut pool = QpuPool::homogeneous(count, config.clone(), policy);
+        let mut pool = QpuPool::homogeneous(count, config.clone());
         let (_, report) = pool.execute_batch(jobs.to_vec());
         if i == 0 {
             baseline_wall = report.wall_secs;
@@ -85,12 +84,7 @@ mod tests {
     #[test]
     fn scaling_points_have_sane_shape() {
         let jobs = heavy_jobs(16);
-        let points = strong_scaling(
-            &jobs,
-            &[1, 2, 4],
-            QpuConfig::default(),
-            SchedulePolicy::WorkStealing,
-        );
+        let points = strong_scaling(&jobs, &[1, 2, 4], QpuConfig::default());
         assert_eq!(points.len(), 3);
         assert_eq!(points[0].devices, 1);
         // Baseline speedup is 1 by construction.
@@ -106,12 +100,7 @@ mod tests {
         // The latency model is deterministic, so this is the robust
         // scaling signal (wall clock can wobble under CI load).
         let jobs = heavy_jobs(32);
-        let points = strong_scaling(
-            &jobs,
-            &[1, 4],
-            QpuConfig::default(),
-            SchedulePolicy::WorkStealing,
-        );
+        let points = strong_scaling(&jobs, &[1, 4], QpuConfig::default());
         assert!(
             points[1].sim_makespan_secs < points[0].sim_makespan_secs / 2.0,
             "1 dev: {}, 4 dev: {}",

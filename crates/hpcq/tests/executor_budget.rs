@@ -12,7 +12,7 @@
 //! high-water mark is process-global, so it must not be polluted by other
 //! tests helping the executor from their own threads.
 
-use hpcq::{CircuitJob, QpuConfig, QpuPool, SchedulePolicy};
+use hpcq::{CircuitJob, QpuConfig, QpuPool};
 use pauli::{Pauli, PauliString};
 use qsim::state::PARALLEL_THRESHOLD;
 use qsim::{Circuit, Gate};
@@ -47,7 +47,7 @@ fn stealing_batch_of_large_jobs_stays_within_thread_budget() {
         })
         .collect();
 
-    let mut pool = QpuPool::homogeneous(3, QpuConfig::default(), SchedulePolicy::WorkStealing);
+    let mut pool = QpuPool::homogeneous(3, QpuConfig::default());
     rayon::reset_max_live_workers();
     let (results, report) = pool.execute_batch(jobs);
 

@@ -11,7 +11,7 @@
 //! pool, the deployment shape the paper's hybrid HPC-QC system targets
 //! for the finite-shot backends.
 
-use hpcq::{CircuitJob, FaultStats, JobError, QpuConfig, QpuPool, SchedulePolicy};
+use hpcq::{CircuitJob, FaultStats, JobError, QpuConfig, QpuPool};
 use pvqnn::features::FeatureBackend;
 use pvqnn::FeatureGenerator;
 use std::fmt;
@@ -63,7 +63,7 @@ pub enum FeatureEngine {
     /// one-at-a-time `predict`.
     Local,
     /// Through a simulated QPU pool: one job per `(data point, shift)`,
-    /// scheduled by the pool's policy. For the `Shots` backend each job
+    /// spread by the pool's simulated-time queue. For the `Shots` backend each job
     /// carries the backend's shot budget; `Shadows` is approximated with
     /// per-observable shots equal to the snapshot budget (the pool's
     /// devices measure observables directly, not shadow snapshots);
@@ -80,8 +80,8 @@ impl FeatureEngine {
     }
 
     /// A pool engine over `devices` homogeneous simulated QPUs.
-    pub fn pool(devices: usize, config: QpuConfig, policy: SchedulePolicy) -> Self {
-        FeatureEngine::Pool(Mutex::new(QpuPool::homogeneous(devices, config, policy)))
+    pub fn pool(devices: usize, config: QpuConfig) -> Self {
+        FeatureEngine::Pool(Mutex::new(QpuPool::homogeneous(devices, config)))
     }
 
     /// One standalone-seeded feature row per unique data point.
@@ -203,7 +203,7 @@ mod tests {
                 .compute_rows(&generator, &refs, None)
                 .unwrap()
                 .rows;
-            let pool = FeatureEngine::pool(2, QpuConfig::default(), SchedulePolicy::WorkStealing);
+            let pool = FeatureEngine::pool(2, QpuConfig::default());
             let out = pool.compute_rows(&generator, &refs, None).unwrap();
             assert_eq!(out.faults, hpcq::FaultStats::default(), "healthy path");
             let pooled = out.rows;
@@ -226,7 +226,7 @@ mod tests {
         let data = points(2);
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         let run = || {
-            FeatureEngine::pool(2, QpuConfig::default(), SchedulePolicy::RoundRobin)
+            FeatureEngine::pool(2, QpuConfig::default())
                 .compute_rows(&generator, &refs, None)
                 .unwrap()
                 .rows
@@ -240,7 +240,7 @@ mod tests {
             Strategy::observable_construction(4, 1),
             FeatureBackend::Exact,
         );
-        let pool = FeatureEngine::pool(1, QpuConfig::default(), SchedulePolicy::RoundRobin);
+        let pool = FeatureEngine::pool(1, QpuConfig::default());
         assert!(pool
             .compute_rows(&generator, &[], None)
             .unwrap()
@@ -266,15 +266,13 @@ mod tests {
             fail_prob: 1.0,
             ..Default::default()
         };
-        let pool = QpuPool::homogeneous(2, broken, SchedulePolicy::WorkStealing).with_fault_policy(
-            FaultPolicy {
-                retry: RetryPolicy {
-                    max_attempts_total: 3,
-                    ..Default::default()
-                },
+        let pool = QpuPool::homogeneous(2, broken).with_fault_policy(FaultPolicy {
+            retry: RetryPolicy {
+                max_attempts_total: 3,
                 ..Default::default()
             },
-        );
+            ..Default::default()
+        });
         let engine = FeatureEngine::Pool(Mutex::new(pool));
         let err = engine
             .compute_rows(&generator, &refs, None)
@@ -294,7 +292,7 @@ mod tests {
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         // One device, a budget shorter than a single job: the first job
         // squeaks in at t=0, every later dispatch is past the deadline.
-        let engine = FeatureEngine::pool(1, QpuConfig::default(), SchedulePolicy::WorkStealing);
+        let engine = FeatureEngine::pool(1, QpuConfig::default());
         let err = engine
             .compute_rows(&generator, &refs, Some(1))
             .expect_err("sub-job budget cannot complete the batch");

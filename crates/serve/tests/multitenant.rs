@@ -303,7 +303,7 @@ fn trace_replay_is_deterministic_and_bitwise_faithful() {
 /// tenant's predictions still bit-for-bit correct.
 #[test]
 fn overload_during_backend_outage_stays_typed_and_correct() {
-    use hpcq::{FaultPolicy, FaultSchedule, QpuConfig, QpuPool, RetryPolicy, SchedulePolicy};
+    use hpcq::{FaultPolicy, FaultSchedule, QpuConfig, QpuPool, RetryPolicy};
     use std::sync::Mutex;
     let model = regressor();
     // Both devices go down 1 ns in: after the warm-up batch every miss
@@ -312,14 +312,13 @@ fn overload_during_backend_outage_stays_typed_and_correct() {
         faults: FaultSchedule::none().with_outage(1, u64::MAX),
         ..Default::default()
     };
-    let pool =
-        QpuPool::homogeneous(2, cfg, SchedulePolicy::WorkStealing).with_fault_policy(FaultPolicy {
-            retry: RetryPolicy {
-                max_attempts_total: 2,
-                ..Default::default()
-            },
+    let pool = QpuPool::homogeneous(2, cfg).with_fault_policy(FaultPolicy {
+        retry: RetryPolicy {
+            max_attempts_total: 2,
             ..Default::default()
-        });
+        },
+        ..Default::default()
+    });
     let server = Server::with_engine(
         ServerConfig {
             max_batch: 8,

@@ -928,11 +928,11 @@ fn worker_thread_hot_swaps_under_concurrent_clients() {
 /// differ), and works end to end through the server.
 #[test]
 fn pool_engine_serves_through_qpu_pool() {
-    use hpcq::{QpuConfig, SchedulePolicy};
+    use hpcq::QpuConfig;
     let model = regressor(FeatureBackend::Exact);
     let server = Server::with_engine(
         ServerConfig::default(),
-        FeatureEngine::pool(2, QpuConfig::default(), SchedulePolicy::WorkStealing),
+        FeatureEngine::pool(2, QpuConfig::default()),
     );
     server.deploy(model.clone());
     let points = catalogue(5);
@@ -962,22 +962,20 @@ fn pool_engine_serves_through_qpu_pool() {
 /// records the degradation instead of hiding it.
 #[test]
 fn dead_pool_degrades_to_local_fallback() {
-    use hpcq::{FaultPolicy, QpuConfig, QpuPool, RetryPolicy, SchedulePolicy};
+    use hpcq::{FaultPolicy, QpuConfig, QpuPool, RetryPolicy};
     use std::sync::Mutex;
     let model = regressor(FeatureBackend::Exact);
     let broken = QpuConfig {
         fail_prob: 1.0,
         ..Default::default()
     };
-    let pool = QpuPool::homogeneous(2, broken, SchedulePolicy::WorkStealing).with_fault_policy(
-        FaultPolicy {
-            retry: RetryPolicy {
-                max_attempts_total: 3,
-                ..Default::default()
-            },
+    let pool = QpuPool::homogeneous(2, broken).with_fault_policy(FaultPolicy {
+        retry: RetryPolicy {
+            max_attempts_total: 3,
             ..Default::default()
         },
-    );
+        ..Default::default()
+    });
     let server = Server::with_engine(
         ServerConfig::default(),
         FeatureEngine::Pool(Mutex::new(pool)),
@@ -1008,21 +1006,19 @@ fn dead_pool_degrades_to_local_fallback() {
 /// typed bottom-rung rejection instead of panicking the batcher thread.
 #[test]
 fn dead_pool_without_fallback_sheds_typed() {
-    use hpcq::{FaultPolicy, QpuConfig, QpuPool, RetryPolicy, SchedulePolicy};
+    use hpcq::{FaultPolicy, QpuConfig, QpuPool, RetryPolicy};
     use std::sync::Mutex;
     let broken = QpuConfig {
         fail_prob: 1.0,
         ..Default::default()
     };
-    let pool = QpuPool::homogeneous(2, broken, SchedulePolicy::RoundRobin).with_fault_policy(
-        FaultPolicy {
-            retry: RetryPolicy {
-                max_attempts_total: 3,
-                ..Default::default()
-            },
+    let pool = QpuPool::homogeneous(2, broken).with_fault_policy(FaultPolicy {
+        retry: RetryPolicy {
+            max_attempts_total: 3,
             ..Default::default()
         },
-    );
+        ..Default::default()
+    });
     let server = Server::with_engine(
         ServerConfig {
             degraded_local_fallback: false,
@@ -1056,7 +1052,7 @@ fn dead_pool_without_fallback_sheds_typed() {
 /// window — only requests that actually need the dead pool are shed.
 #[test]
 fn cache_hits_survive_backend_outage() {
-    use hpcq::{FaultPolicy, FaultSchedule, QpuConfig, QpuPool, RetryPolicy, SchedulePolicy};
+    use hpcq::{FaultPolicy, FaultSchedule, QpuConfig, QpuPool, RetryPolicy};
     use std::sync::Mutex;
     let model = regressor(FeatureBackend::Exact);
     // The lone device goes down 1 ns into its life: the warm-up batch's
@@ -1066,14 +1062,13 @@ fn cache_hits_survive_backend_outage() {
         faults: FaultSchedule::none().with_outage(1, u64::MAX),
         ..Default::default()
     };
-    let pool =
-        QpuPool::homogeneous(1, cfg, SchedulePolicy::WorkStealing).with_fault_policy(FaultPolicy {
-            retry: RetryPolicy {
-                max_attempts_total: 4,
-                ..Default::default()
-            },
+    let pool = QpuPool::homogeneous(1, cfg).with_fault_policy(FaultPolicy {
+        retry: RetryPolicy {
+            max_attempts_total: 4,
             ..Default::default()
-        });
+        },
+        ..Default::default()
+    });
     let server = Server::with_engine(
         ServerConfig {
             degraded_local_fallback: false,

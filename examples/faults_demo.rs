@@ -9,7 +9,6 @@
 
 use hpcq::{
     BreakerConfig, CircuitJob, DeviceHealth, FaultPolicy, FaultSchedule, QpuConfig, QpuPool,
-    SchedulePolicy,
 };
 use pauli::{local_paulis, PauliString};
 use qsim::{Circuit, Gate};
@@ -64,18 +63,16 @@ fn main() {
         faults: FaultSchedule::none().with_outage(50_000, 400_000),
         ..Default::default()
     };
-    let mut pool = QpuPool::heterogeneous(configs, SchedulePolicy::WorkStealing).with_fault_policy(
-        FaultPolicy {
-            breaker: BreakerConfig {
-                failure_threshold: 3,
-                cooldown_ns: 300_000,
-            },
-            ..Default::default()
+    let mut pool = QpuPool::heterogeneous(configs).with_fault_policy(FaultPolicy {
+        breaker: BreakerConfig {
+            failure_threshold: 3,
+            cooldown_ns: 300_000,
         },
-    );
+        ..Default::default()
+    });
 
     // A fault-free twin for the bit-for-bit check.
-    let mut clean = QpuPool::homogeneous(3, QpuConfig::default(), SchedulePolicy::WorkStealing);
+    let mut clean = QpuPool::homogeneous(3, QpuConfig::default());
 
     println!("phase 1: 24 jobs while device 0 is dark [50 us, 400 us)");
     let (outcomes, report) = pool.execute_batch(jobs(0..24));
@@ -121,6 +118,11 @@ fn main() {
         "the recovered device must be re-admitted"
     );
     assert!(pool.fault_stats().probes >= 1, "recovery needs a probe");
+    assert_eq!(
+        report2.jobs_per_device.iter().sum::<usize>(),
+        24,
+        "the report places this batch's jobs alone"
+    );
     assert!(report2.jobs_per_device[0] > 0, "device 0 must serve again");
 
     println!("\nevery fault was absorbed by retries, failover, and the breaker —");

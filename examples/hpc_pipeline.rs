@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --example hpc_pipeline --release`
 
-use postvar::hpcq::{CircuitJob, HybridPipeline, QpuConfig, QpuPool, SchedulePolicy};
+use postvar::hpcq::{CircuitJob, HybridPipeline, QpuConfig, QpuPool};
 use postvar::ml::LogisticConfig;
 use postvar::prelude::*;
 
@@ -58,7 +58,7 @@ fn main() {
     );
 
     // 4-QPU pool with work stealing.
-    let pool = QpuPool::homogeneous(4, QpuConfig::default(), SchedulePolicy::WorkStealing);
+    let pool = QpuPool::homogeneous(4, QpuConfig::default());
     let mut pipeline = HybridPipeline::new(pool);
     let samples = train_x.len();
     let q_obs = observables.len();

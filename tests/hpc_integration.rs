@@ -2,7 +2,7 @@
 //! same feature matrix as the in-process generator, and the pipeline must
 //! scale the work without changing the answer.
 
-use postvar::hpcq::{CircuitJob, QpuConfig, QpuPool, SchedulePolicy};
+use postvar::hpcq::{CircuitJob, QpuConfig, QpuPool};
 use postvar::prelude::*;
 
 fn toy_data(d: usize) -> Vec<Vec<f64>> {
@@ -45,7 +45,7 @@ fn pool_reproduces_in_process_features_exactly() {
     let q_direct = generator.generate(&data);
 
     let jobs = jobs_for(&generator, &data);
-    let mut pool = QpuPool::homogeneous(3, QpuConfig::default(), SchedulePolicy::WorkStealing);
+    let mut pool = QpuPool::homogeneous(3, QpuConfig::default());
     let (results, _) = pool.execute_batch(jobs);
 
     let p = generator.strategy().num_ansatze();
@@ -66,34 +66,6 @@ fn pool_reproduces_in_process_features_exactly() {
 }
 
 #[test]
-fn policies_agree_on_exact_workloads() {
-    let data = toy_data(4);
-    let generator = FeatureGenerator::new(
-        Strategy::observable_construction(4, 2),
-        FeatureBackend::Exact,
-    );
-    let jobs = jobs_for(&generator, &data);
-    let mut reference: Option<Vec<Vec<f64>>> = None;
-    for policy in [
-        SchedulePolicy::RoundRobin,
-        SchedulePolicy::LeastLoaded,
-        SchedulePolicy::WorkStealing,
-    ] {
-        let mut pool = QpuPool::homogeneous(2, QpuConfig::default(), policy);
-        let (results, report) = pool.execute_batch(jobs.clone());
-        let values: Vec<Vec<f64>> = results
-            .into_iter()
-            .map(|r| r.expect("healthy pool").values)
-            .collect();
-        assert!(report.utilization > 0.0);
-        match &reference {
-            None => reference = Some(values),
-            Some(r) => assert_eq!(r, &values, "{policy:?} diverged"),
-        }
-    }
-}
-
-#[test]
 fn pipeline_feeds_classical_stage_with_complete_ordered_batch() {
     use postvar::hpcq::HybridPipeline;
     let data = toy_data(5);
@@ -103,7 +75,7 @@ fn pipeline_feeds_classical_stage_with_complete_ordered_batch() {
     );
     let jobs = jobs_for(&generator, &data);
     let n_jobs = jobs.len();
-    let pool = QpuPool::homogeneous(2, QpuConfig::default(), SchedulePolicy::WorkStealing);
+    let pool = QpuPool::homogeneous(2, QpuConfig::default());
     let mut pipeline = HybridPipeline::new(pool);
     let (ok, report) = pipeline
         .run(jobs, |results| {

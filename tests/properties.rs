@@ -455,19 +455,18 @@ proptest! {
 // Chaos determinism: random fault schedules (outages, degraded phases,
 // transient failure rates) replayed over the QPU pool must resolve every
 // job exactly once — bit-for-bit identical results or the same typed
-// error — under every scheduling policy and any executor thread count.
+// error — under any executor thread count.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn chaos_outcomes_bit_identical_across_policies_and_threads(
+    fn chaos_outcomes_bit_identical_across_threads(
         schedules in proptest::collection::vec(chaos_schedule(), 2..4),
         fail_milli in 0u32..400,
         n_jobs in 1usize..10,
     ) {
         use postvar::hpcq::{
             outcome_id, CircuitJob, FaultPolicy, QpuConfig, QpuPool, RetryPolicy,
-            SchedulePolicy,
         };
         let jobs: Vec<CircuitJob> = (0..n_jobs as u64)
             .map(|id| {
@@ -479,7 +478,7 @@ proptest! {
                 CircuitJob::new(id, c, vec![PauliString::from_masks(4, 0b1, 0)], None)
             })
             .collect();
-        let run = |policy: SchedulePolicy, threads: usize| {
+        let run = |threads: usize| {
             rayon::with_num_threads(threads, || {
                 let configs = schedules
                     .iter()
@@ -489,50 +488,38 @@ proptest! {
                         ..Default::default()
                     })
                     .collect();
-                let mut pool = QpuPool::heterogeneous(configs, policy).with_fault_policy(
-                    FaultPolicy {
-                        retry: RetryPolicy {
-                            max_attempts_total: 8,
-                            ..Default::default()
-                        },
+                let mut pool = QpuPool::heterogeneous(configs).with_fault_policy(FaultPolicy {
+                    retry: RetryPolicy {
+                        max_attempts_total: 8,
                         ..Default::default()
                     },
-                );
+                    ..Default::default()
+                });
                 pool.execute_batch(jobs.clone()).0
             })
         };
-        for policy in [
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::LeastLoaded,
-            SchedulePolicy::WorkStealing,
-        ] {
-            let base = run(policy, 1);
-            // Every job resolves exactly once: no lost, no duplicated.
-            prop_assert_eq!(base.len(), n_jobs);
-            for (i, o) in base.iter().enumerate() {
-                prop_assert_eq!(outcome_id(o), i as u64);
-            }
-            for threads in [2usize, 4] {
-                let other = run(policy, threads);
-                for (a, b) in base.iter().zip(other.iter()) {
-                    match (a, b) {
-                        (Ok(x), Ok(y)) => {
-                            prop_assert_eq!(x.device, y.device);
-                            prop_assert_eq!(x.sim_completed_ns, y.sim_completed_ns);
-                            for (u, v) in x.values.iter().zip(y.values.iter()) {
-                                prop_assert_eq!(u.to_bits(), v.to_bits());
-                            }
+        let base = run(1);
+        // Every job resolves exactly once: no lost, no duplicated.
+        prop_assert_eq!(base.len(), n_jobs);
+        for (i, o) in base.iter().enumerate() {
+            prop_assert_eq!(outcome_id(o), i as u64);
+        }
+        for threads in [2usize, 4] {
+            let other = run(threads);
+            for (a, b) in base.iter().zip(other.iter()) {
+                match (a, b) {
+                    (Ok(x), Ok(y)) => {
+                        prop_assert_eq!(x.device, y.device);
+                        prop_assert_eq!(x.sim_completed_ns, y.sim_completed_ns);
+                        for (u, v) in x.values.iter().zip(y.values.iter()) {
+                            prop_assert_eq!(u.to_bits(), v.to_bits());
                         }
-                        (Err(x), Err(y)) => {
-                            prop_assert_eq!(x.attempts, y.attempts);
-                            prop_assert_eq!(x.kind, y.kind);
-                        }
-                        _ => prop_assert!(
-                            false,
-                            "Ok/Err divergence across thread counts under {:?}",
-                            policy
-                        ),
                     }
+                    (Err(x), Err(y)) => {
+                        prop_assert_eq!(x.attempts, y.attempts);
+                        prop_assert_eq!(x.kind, y.kind);
+                    }
+                    _ => prop_assert!(false, "Ok/Err divergence at {} threads", threads),
                 }
             }
         }
