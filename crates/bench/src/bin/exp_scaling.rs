@@ -18,7 +18,7 @@ use bench::{
     naive_feature_sweep, naive_shot_sweep, oversubscribed_batch, time_secs, ScalingReport,
     TablePrinter,
 };
-use hpcq::{strong_scaling, CircuitJob, HybridPipeline, QpuConfig, QpuPool};
+use hpcq::{strong_scaling, CircuitJob, QpuConfig, QpuPool};
 use pauli::local_paulis;
 use pvqnn::ansatz::fig8_ansatz;
 use pvqnn::features::{FeatureBackend, FeatureGenerator};
@@ -49,30 +49,6 @@ const REGRESSION_TOLERANCE: f64 = 0.25;
 /// this the speedup factors read ~1.0× by construction (a 1-core
 /// container cannot scale), so the gate would only measure the runner.
 const MULTICORE_GATE_MIN_THREADS: usize = 4;
-
-/// Builds the full Algorithm-1 job batch for the hybrid 1-order+1-local
-/// strategy: one job per (data point, shift), all 13 observables shared.
-fn feature_jobs(data: &[Vec<f64>], shots: Option<usize>) -> (Vec<CircuitJob>, usize) {
-    let strategy = Strategy::hybrid(fig8_ansatz(4), 1, 1);
-    let generator = FeatureGenerator::new(strategy, FeatureBackend::Exact);
-    let p = generator.strategy().num_ansatze();
-    let observables = generator.strategy().observables().to_vec();
-    let mut jobs = Vec::with_capacity(data.len() * p);
-    let mut id = 0u64;
-    for (i, x) in data.iter().enumerate() {
-        for a in 0..p {
-            jobs.push(CircuitJob::new(
-                id,
-                generator.circuit_for(x, a),
-                observables.clone(),
-                shots,
-            ));
-            id += 1;
-        }
-        let _ = i;
-    }
-    (jobs, p)
-}
 
 /// A heavier device-scale workload for the strong-scaling sweep: 13-qubit
 /// encoded states (8 k amplitudes — deliberately *below* qsim's internal
@@ -420,10 +396,19 @@ fn main() {
     }
     println!("\n== HPC-QC system: strong scaling of the quantum feature stage ==\n");
     let task = binary_task(50, 0, 3);
-    let (jobs, p) = feature_jobs(&task.train_x, Some(256));
+    // The Algorithm-1 batch for hybrid 1-order + 1-local: one job per
+    // (data point, shift), all 13 observables shared.
+    let generator = FeatureGenerator::new(
+        Strategy::hybrid(fig8_ansatz(4), 1, 1),
+        FeatureBackend::Shots {
+            shots: 256,
+            seed: 0,
+        },
+    );
+    let p = generator.strategy().num_ansatze();
     println!(
         "pipeline workload: {} jobs ({} samples × {p} shifted circuits), 13 observables, 256 shots each",
-        jobs.len(),
+        task.train_x.len() * p,
         task.train_x.len()
     );
 
@@ -468,33 +453,19 @@ fn main() {
 
     // --- Hybrid pipeline stage breakdown.
     println!("\n-- hybrid pipeline: quantum stage vs classical convex stage --");
-    let pool = QpuPool::homogeneous(4, QpuConfig::default());
-    let mut pipeline = HybridPipeline::new(pool);
-    let labels = task.train_y.clone();
-    let samples = task.train_x.len();
-    let ((), report) = pipeline
-        .run(jobs, |results| {
-            // Classical stage: assemble Q (samples × p·q) and fit the head.
-            let q_per_job = results[0].values.len();
-            let rows: Vec<Vec<f64>> = (0..samples)
-                .map(|i| {
-                    let mut row = Vec::with_capacity(p * q_per_job);
-                    for a in 0..p {
-                        row.extend_from_slice(&results[i * p + a].values);
-                    }
-                    row
-                })
-                .collect();
-            let mat = linalg::Mat::from_rows(&rows);
-            let _model = ml::LogisticRegression::fit(&mat, &labels, ml::LogisticConfig::default());
-        })
-        .expect("healthy pool completes every job");
+    let mut pool = QpuPool::homogeneous(4, QpuConfig::default());
+    let xs: Vec<&[f64]> = task.train_x.iter().map(Vec::as_slice).collect();
+    let (rows, report) = pool.feature_rows(&generator, &xs, None);
+    let rows = rows.expect("healthy pool completes every job");
+    let fit_start = std::time::Instant::now();
+    let mat = linalg::Mat::from_rows(&rows);
+    let _model = ml::LogisticRegression::fit(&mat, &task.train_y, ml::LogisticConfig::default());
+    let fit_secs = fit_start.elapsed().as_secs_f64();
     println!(
-        "quantum stage: {:.3}s ({:.0}% of total) | classical stage: {:.3}s | device util {:.0}%",
-        report.quantum_secs,
-        report.quantum_fraction() * 100.0,
-        report.classical_secs,
-        report.pool.utilization * 100.0
+        "quantum stage: {:.3}s ({:.0}% of total) | classical stage: {fit_secs:.3}s | device util {:.0}%",
+        report.wall_secs,
+        report.wall_secs / (report.wall_secs + fit_secs) * 100.0,
+        report.utilization * 100.0
     );
     println!("\nSC framing: one non-interactive quantum batch (Table I) scales across the pool;");
     println!("the classical convex fit is a single host-side solve — no hybrid feedback loop.");

@@ -133,7 +133,7 @@ pub fn oversubscribed_batch(jobs: &[CircuitJob], n_dev: usize) {
     std::thread::scope(|scope| {
         for d in 0..n_dev {
             scope.spawn(move || {
-                let mut dev = QpuDevice::new(d, QpuConfig::default());
+                let dev = QpuDevice::new(d, QpuConfig::default());
                 for job in jobs.iter().skip(d).step_by(n_dev) {
                     std::hint::black_box(dev.execute(job));
                 }

@@ -59,36 +59,17 @@ pub struct QpuDevice {
     /// Pool-assigned device index.
     pub id: usize,
     config: QpuConfig,
-    /// Total simulated busy time accumulated (ns).
-    sim_busy_ns: u64,
-    /// Jobs executed.
-    jobs_run: usize,
 }
 
 impl QpuDevice {
     /// Creates a device with the given pool index and configuration.
     pub fn new(id: usize, config: QpuConfig) -> Self {
-        QpuDevice {
-            id,
-            config,
-            sim_busy_ns: 0,
-            jobs_run: 0,
-        }
+        QpuDevice { id, config }
     }
 
     /// The configuration.
     pub fn config(&self) -> &QpuConfig {
         &self.config
-    }
-
-    /// Accumulated simulated busy time (ns).
-    pub fn sim_busy_ns(&self) -> u64 {
-        self.sim_busy_ns
-    }
-
-    /// Number of jobs executed so far.
-    pub fn jobs_run(&self) -> usize {
-        self.jobs_run
     }
 
     /// The simulated occupancy a job would incur on this device.
@@ -115,11 +96,10 @@ impl QpuDevice {
         fail_rng.random::<f64>() < self.config.fail_prob
     }
 
-    /// Pure execution: per-observable estimates, deterministic given the
-    /// device seed and job id, with **no** clock charging or job
-    /// accounting — the pool's dispatch engine decides occupancy (cost,
-    /// degraded multipliers, hedge cancellations) separately and settles
-    /// the ledger through the crate-internal `charge`.
+    /// Per-observable estimates, deterministic given the device seed and
+    /// job id. Occupancy is not charged here: the pool's dispatch engine
+    /// decides it (cost, degraded multipliers, hedge cancellations) on
+    /// its own simulated clock.
     pub fn values(&self, job: &CircuitJob) -> Vec<f64> {
         assert!(
             job.circuit.num_qubits() <= self.config.max_qubits,
@@ -162,28 +142,18 @@ impl QpuDevice {
         }
     }
 
-    /// Executes a job, returning per-observable estimates and charging the
-    /// simulated clock. Deterministic given the device seed and job id.
-    pub fn execute(&mut self, job: &CircuitJob) -> JobResult {
-        let values = self.values(job);
+    /// Executes a job on its own, outside any pool: per-observable
+    /// estimates plus the job's modeled cost as both its busy and its
+    /// completion time. Deterministic given the device seed and job id.
+    pub fn execute(&self, job: &CircuitJob) -> JobResult {
         let cost = self.sim_cost_ns(job);
-        self.sim_busy_ns += cost;
-        self.jobs_run += 1;
         JobResult {
             id: job.id,
-            values,
+            values: self.values(job),
             device: self.id,
             sim_busy_ns: cost,
             sim_completed_ns: cost,
         }
-    }
-
-    /// Settles the pool's dispatch ledger onto this device: `busy_ns` of
-    /// simulated occupancy (executed jobs, failed-submission overheads,
-    /// cancelled hedge partials) and `jobs` completed jobs.
-    pub(crate) fn charge(&mut self, busy_ns: u64, jobs: usize) {
-        self.sim_busy_ns += busy_ns;
-        self.jobs_run += jobs;
     }
 }
 
@@ -213,17 +183,16 @@ mod tests {
 
     #[test]
     fn exact_execution_matches_simulator() {
-        let mut dev = QpuDevice::new(0, QpuConfig::default());
+        let dev = QpuDevice::new(0, QpuConfig::default());
         let res = dev.execute(&bell_job(1, None));
         assert!((res.values[0] - 1.0).abs() < 1e-12);
         assert!(res.values[1].abs() < 1e-12);
-        assert_eq!(dev.jobs_run(), 1);
-        assert!(dev.sim_busy_ns() > 0);
+        assert!(res.sim_busy_ns > 0);
     }
 
     #[test]
     fn shot_execution_approximates() {
-        let mut dev = QpuDevice::new(0, QpuConfig::default());
+        let dev = QpuDevice::new(0, QpuConfig::default());
         let res = dev.execute(&bell_job(2, Some(20_000)));
         assert!((res.values[0] - 1.0).abs() < 0.05);
         assert!(res.values[1].abs() < 0.05);
@@ -231,8 +200,8 @@ mod tests {
 
     #[test]
     fn execution_is_deterministic_per_seed_and_job() {
-        let mut d1 = QpuDevice::new(0, QpuConfig::default());
-        let mut d2 = QpuDevice::new(0, QpuConfig::default());
+        let d1 = QpuDevice::new(0, QpuConfig::default());
+        let d2 = QpuDevice::new(0, QpuConfig::default());
         let r1 = d1.execute(&bell_job(3, Some(500)));
         let r2 = d2.execute(&bell_job(3, Some(500)));
         assert_eq!(r1.values, r2.values);
@@ -259,7 +228,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut dev = QpuDevice::new(0, config);
+        let dev = QpuDevice::new(0, config);
         let res = dev.execute(&bell_job(5, Some(3000)));
         assert!(res.values[0] < 0.97, "noise should reduce ⟨ZZ⟩ below 1");
         assert!(res.values[0] > 0.3, "but not destroy it entirely");
@@ -272,7 +241,7 @@ mod tests {
             max_qubits: 1,
             ..Default::default()
         };
-        let mut dev = QpuDevice::new(0, config);
+        let dev = QpuDevice::new(0, config);
         let _ = dev.execute(&bell_job(6, None));
     }
 }

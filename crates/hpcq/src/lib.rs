@@ -17,8 +17,10 @@
 //!   `qsim` amplitude kernels fan out on — one shared core budget with
 //!   per-task fair-share fan-out hints instead of devices × cores
 //!   oversubscription,
-//! * [`HybridPipeline`] — the two-stage quantum→classical pipeline with
-//!   per-stage timing,
+//! * [`QpuPool::feature_rows`] — the quantum stage of Algorithm 1 in one
+//!   call: one job per (data point, shifted ansatz), the backend's shot
+//!   budget on each, rows assembled in column order or one typed
+//!   [`FeatureBatchError`],
 //! * [`fault`] — the fault-domain layer: deterministic device fault
 //!   schedules (outages, straggler phases), bounded retry with failover,
 //!   per-device circuit breakers, hedged dispatch, and the typed
@@ -28,8 +30,8 @@
 
 pub mod device;
 pub mod fault;
+pub mod features;
 pub mod job;
-pub mod pipeline;
 pub mod pool;
 pub mod scaling;
 
@@ -38,7 +40,7 @@ pub use fault::{
     BreakerConfig, CircuitBreaker, DeviceHealth, FaultKind, FaultPolicy, FaultSchedule, FaultStats,
     FaultWindow, JobError, JobErrorKind, RetryPolicy, HEDGE_AFTER_MULTIPLE,
 };
+pub use features::FeatureBatchError;
 pub use job::{CircuitJob, JobResult};
-pub use pipeline::{HybridPipeline, PipelineError, PipelineReport};
 pub use pool::{outcome_id, JobOutcome, PoolReport, QpuPool};
 pub use scaling::{strong_scaling, ScalingPoint};

@@ -30,13 +30,20 @@
 //!
 //! Dispatch decisions are made in a sequential simulated-time loop, so
 //! placement — and therefore every result — is reproducible bit-for-bit
-//! regardless of host thread count, and identical to the no-fault path
-//! whenever a job ultimately executes (failover changes *where*, never
-//! *what*, for exact jobs; shot noise is device-seeded by design).
+//! regardless of host thread count. Exact jobs are identical to the
+//! no-fault path whenever they ultimately execute (failover changes
+//! *where*, never *what*). Shot noise is not: a device seeds it from its
+//! own seed and the job id, so a finite-shot value depends on the job's
+//! position in its batch and on the device that ran it.
 //! Execution then fans out on the **shared rayon executor**
 //! (`rayon::scope`), the same persistent pool the `qsim` amplitude
 //! kernels use, with `rayon::with_inner_threads` fair-share hints.
 //! Results are returned in job-id order regardless of completion order.
+//!
+//! Each device's simulated clock carries over from one batch to the
+//! next: a batch starts every device where the previous one left it, so
+//! idle backoff and breaker cooldowns are never replayed and an outage
+//! window a device has passed cannot hit it again.
 
 use crate::device::{QpuConfig, QpuDevice};
 use crate::fault::{
@@ -69,8 +76,6 @@ pub struct PoolReport {
     pub sim_makespan_secs: f64,
     /// Mean device utilization over this batch: mean(busy) / max(busy).
     pub utilization: f64,
-    /// Completed jobs per wall-clock second.
-    pub throughput: f64,
     /// Jobs each device completed in this batch.
     pub jobs_per_device: Vec<usize>,
     /// Failure/recovery taxonomy of this batch.
@@ -108,8 +113,8 @@ struct Dispatcher<'a> {
     devices: &'a [QpuDevice],
     breakers: &'a mut [CircuitBreaker],
     retry: RetryPolicy,
-    /// Per-device simulated timeline position (starts at the device's
-    /// accumulated busy time).
+    /// Per-device simulated timeline position (starts where the device's
+    /// previous batch left it).
     clock: Vec<u64>,
     /// Per-device busy time charged this batch (executed jobs, failed
     /// submissions, cancelled hedge partials — idle backoff/cooldown
@@ -128,9 +133,9 @@ impl<'a> Dispatcher<'a> {
         devices: &'a [QpuDevice],
         breakers: &'a mut [CircuitBreaker],
         retry: RetryPolicy,
+        clock: Vec<u64>,
     ) -> Self {
         let n = devices.len();
-        let clock: Vec<u64> = devices.iter().map(QpuDevice::sim_busy_ns).collect();
         Dispatcher {
             devices,
             breakers,
@@ -309,6 +314,8 @@ pub struct QpuPool {
     devices: Vec<QpuDevice>,
     fault_policy: FaultPolicy,
     breakers: Vec<CircuitBreaker>,
+    /// Where each device's simulated clock stopped after the last batch.
+    clock_ns: Vec<u64>,
     hedged_last: Vec<bool>,
     lifetime_faults: FaultStats,
 }
@@ -346,6 +353,7 @@ impl QpuPool {
             devices,
             fault_policy,
             breakers: vec![CircuitBreaker::new(fault_policy.breaker); n],
+            clock_ns: vec![0; n],
             hedged_last: vec![false; n],
             lifetime_faults: FaultStats::default(),
         }
@@ -357,11 +365,6 @@ impl QpuPool {
         self.fault_policy = fault_policy;
         self.breakers = vec![CircuitBreaker::new(fault_policy.breaker); self.devices.len()];
         self
-    }
-
-    /// The fault policy in force.
-    pub fn fault_policy(&self) -> &FaultPolicy {
-        &self.fault_policy
     }
 
     /// Lifetime failure/recovery counters, summed over every batch.
@@ -384,18 +387,21 @@ impl QpuPool {
     /// bit-for-bit identical to what the no-fault path would produce
     /// (for exact jobs; shot noise follows the executing device's seed),
     /// or a typed [`JobError`] once retries/failover/deadline budgets
-    /// are exhausted. An empty batch is a no-op: no device is touched
-    /// and the report carries zero throughput (serving-style callers
-    /// legitimately hit this when every request of a micro-batch was
-    /// shed or cached).
+    /// are exhausted. An empty batch leaves every device clock where it
+    /// was (serving-style callers legitimately hit this when every
+    /// request of a micro-batch was shed or cached).
     pub fn execute_batch(&mut self, jobs: Vec<CircuitJob>) -> (Vec<JobOutcome>, PoolReport) {
         let started = Instant::now();
         let n_dev = self.devices.len();
 
         // Phase 1: sequential simulated-time dispatch — placement, retry,
         // failover, breakers, hedging. Deterministic by construction.
-        let mut dispatcher =
-            Dispatcher::new(&self.devices, &mut self.breakers, self.fault_policy.retry);
+        let mut dispatcher = Dispatcher::new(
+            &self.devices,
+            &mut self.breakers,
+            self.fault_policy.retry,
+            self.clock_ns.clone(),
+        );
         let origin = dispatcher.origin();
         let mut queue: VecDeque<Pending> = jobs
             .into_iter()
@@ -420,6 +426,7 @@ impl QpuPool {
             }
         }
         let Dispatcher {
+            clock,
             busy,
             placed,
             hedged,
@@ -427,11 +434,12 @@ impl QpuPool {
             stats,
             ..
         } = dispatcher;
+        self.clock_ns = clock;
         self.hedged_last = hedged;
         self.lifetime_faults.absorb(&stats);
 
         // Phase 2: execute the placement ledger in parallel on the shared
-        // executor; `values` is pure, so the charges settle afterwards.
+        // executor; `values` is pure.
         let hint = Self::inner_threads_hint(placed.iter().filter(|q| !q.is_empty()).count());
         let mut outs: Vec<Vec<JobResult>> = Vec::with_capacity(n_dev);
         outs.resize_with(n_dev, Vec::new);
@@ -456,9 +464,6 @@ impl QpuPool {
                 });
             }
         });
-        for ((dev, &add), work) in self.devices.iter_mut().zip(&busy).zip(&placed) {
-            dev.charge(add, work.len());
-        }
 
         let mut outcomes: Vec<JobOutcome> = outs
             .into_iter()
@@ -467,20 +472,17 @@ impl QpuPool {
             .chain(errors.into_iter().map(Err))
             .collect();
         outcomes.sort_by_key(outcome_id);
-        let completed = outcomes.iter().filter(|o| o.is_ok()).count();
 
-        let wall_secs = started.elapsed().as_secs_f64();
         let max_busy = *busy.iter().max().unwrap() as f64;
         let mean_busy = busy.iter().sum::<u64>() as f64 / n_dev as f64;
         let report = PoolReport {
-            wall_secs,
+            wall_secs: started.elapsed().as_secs_f64(),
             sim_makespan_secs: max_busy / 1e9,
             utilization: if max_busy > 0.0 {
                 mean_busy / max_busy
             } else {
                 1.0
             },
-            throughput: completed as f64 / wall_secs.max(1e-12),
             jobs_per_device: placed.iter().map(Vec::len).collect(),
             faults: stats,
         };
@@ -568,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_balances_job_counts() {
+    fn equal_jobs_spread_within_one() {
         // Equal jobs on a homogeneous pool: the list scheduler spreads
         // them as evenly as round-robin would, counts differing by at
         // most one.
@@ -580,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_balances_heterogeneous_costs() {
+    fn makespan_within_grahams_bound() {
         // Wildly different shot counts: any work-conserving list
         // scheduler keeps the makespan within Σcost/devices + max cost
         // (Graham's bound).
@@ -630,8 +632,52 @@ mod tests {
         let mut pool = QpuPool::homogeneous(3, QpuConfig::default());
         let (_, report) = pool.execute_batch(make_jobs(30, Some(50)));
         assert!(report.utilization > 0.0 && report.utilization <= 1.0 + 1e-12);
-        assert!(report.throughput > 0.0);
         assert!(report.sim_makespan_secs > 0.0);
+    }
+
+    #[test]
+    fn one_device_takes_every_job() {
+        let mut pool = QpuPool::homogeneous(1, QpuConfig::default());
+        let (outcomes, report) = pool.execute_batch(make_jobs(6, None));
+        assert_eq!(unwrap_all(outcomes).len(), 6);
+        assert_eq!(report.jobs_per_device, vec![6]);
+        assert_eq!(report.utilization, 1.0);
+    }
+
+    #[test]
+    fn second_batch_starts_where_first_left_off() {
+        // Both devices are down over [20 µs, 500 µs) and back off 1 ms:
+        // batch 1 retries past the window, so its clocks end after it.
+        // Batch 2 starts every device there and pays no retry.
+        let config = QpuConfig {
+            faults: FaultSchedule::none().with_outage(20_000, 500_000),
+            ..Default::default()
+        };
+        let mut pool = QpuPool::homogeneous(2, config).with_fault_policy(FaultPolicy {
+            retry: RetryPolicy {
+                backoff_base_ns: 1_000_000,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        let (_, first) = pool.execute_batch(make_jobs(4, None));
+        assert!(first.faults.retries > 0, "batch 1 meets the outage");
+        let left_off = pool.clock_ns.clone();
+        let (outcomes, second) = pool.execute_batch(make_jobs(4, None));
+        assert_eq!(
+            second.faults,
+            FaultStats::default(),
+            "passed outage hit again"
+        );
+        let origin = *left_off.iter().min().unwrap();
+        for r in unwrap_all(outcomes) {
+            let start = origin + r.sim_completed_ns - r.sim_busy_ns;
+            assert!(
+                start >= left_off[r.device],
+                "device {} ran backwards",
+                r.device
+            );
+        }
     }
 
     #[test]

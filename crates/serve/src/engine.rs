@@ -6,45 +6,14 @@
 //! row per point on the shared executor (Exact and Shots rows from the
 //! generator's Pauli-transfer plan, Shadows rows from its cached
 //! compiled circuits) — bit-for-bit what each lone request would have
-//! computed — while the pool path packages the same
-//! work as [`hpcq::CircuitJob`]s and scatters it across a simulated QPU
-//! pool, the deployment shape the paper's hybrid HPC-QC system targets
-//! for the finite-shot backends.
+//! computed — while the pool path hands the same points to
+//! [`QpuPool::feature_rows`], which scatters one job per (point, shift)
+//! across a simulated QPU pool, the deployment shape the paper's hybrid
+//! HPC-QC system targets for the finite-shot backends.
 
-use hpcq::{CircuitJob, FaultStats, JobError, QpuConfig, QpuPool};
-use pvqnn::features::FeatureBackend;
+use hpcq::{FaultStats, FeatureBatchError, QpuConfig, QpuPool};
 use pvqnn::FeatureGenerator;
-use std::fmt;
 use std::sync::{Mutex, PoisonError};
-
-/// The quantum backend failed part of a feature batch terminally:
-/// retries, failover, and hedging were all exhausted (or deadlines
-/// expired) for `failed_jobs` of the batch's jobs. The server's
-/// degradation ladder decides what happens next — local fallback or a
-/// typed shed — instead of panicking on the batcher thread.
-#[derive(Clone, Debug)]
-pub struct EngineError {
-    /// Jobs that resolved to typed errors.
-    pub failed_jobs: usize,
-    /// Total jobs in the batch.
-    pub total_jobs: usize,
-    /// The first failure, in job-id order.
-    pub first: JobError,
-    /// Failure/recovery counters the pool observed for this batch.
-    pub faults: FaultStats,
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "backend failed {} of {} feature jobs (first: {})",
-            self.failed_jobs, self.total_jobs, self.first
-        )
-    }
-}
-
-impl std::error::Error for EngineError {}
 
 /// A successfully computed miss batch.
 #[derive(Clone, Debug)]
@@ -62,14 +31,13 @@ pub enum FeatureEngine {
     /// the default and the path with the bit-for-bit guarantee against
     /// one-at-a-time `predict`.
     Local,
-    /// Through a simulated QPU pool: one job per `(data point, shift)`,
-    /// spread by the pool's simulated-time queue. For the `Shots` backend each job
-    /// carries the backend's shot budget; `Shadows` is approximated with
-    /// per-observable shots equal to the snapshot budget (the pool's
-    /// devices measure observables directly, not shadow snapshots);
-    /// `Exact` jobs run noiseless. Shot noise here follows the *device*
-    /// seeds, so pool-routed stochastic predictions are deterministic
-    /// but not bitwise equal to the local path.
+    /// Through a simulated QPU pool, via [`QpuPool::feature_rows`]: one
+    /// job per `(data point, shift)`, with the backend's shot budget.
+    /// `Exact` rows equal the local path to rounding. A `Shots` or
+    /// `Shadows` row takes its noise from the device seed and its job id
+    /// `i·p + a`, so it depends on the point's position in the miss
+    /// batch and on the device that ran it, and it is not bitwise equal
+    /// to the local row.
     Pool(Mutex<QpuPool>),
 }
 
@@ -90,83 +58,32 @@ impl FeatureEngine {
     /// chase an already-dead request (the local path is host-side
     /// compute and ignores it). Pool jobs that terminally fail (retry
     /// budget exhausted, deadline expired on every device) surface as a
-    /// typed [`EngineError`] instead of panicking on the batcher thread;
-    /// a previously poisoned pool lock is recovered, not propagated —
-    /// the pool holds no invariants a panicked batch could have broken
-    /// (placement is recomputed per batch).
+    /// typed [`FeatureBatchError`] instead of panicking on the batcher
+    /// thread; the server's degradation ladder decides what happens next
+    /// (local fallback or a typed shed). A previously poisoned pool lock
+    /// is recovered, not propagated — the pool holds no invariants a
+    /// panicked batch could have broken (placement is recomputed per
+    /// batch).
     pub fn compute_rows(
         &self,
         generator: &FeatureGenerator,
         xs: &[&[f64]],
         budget_ns: Option<u64>,
-    ) -> Result<ComputedRows, EngineError> {
+    ) -> Result<ComputedRows, FeatureBatchError> {
         match self {
             FeatureEngine::Local => Ok(ComputedRows {
                 rows: generator.generate_rows_standalone(xs),
                 faults: FaultStats::default(),
             }),
             FeatureEngine::Pool(pool) => {
-                if xs.is_empty() {
-                    return Ok(ComputedRows {
-                        rows: Vec::new(),
-                        faults: FaultStats::default(),
-                    });
-                }
-                let strategy = generator.strategy();
-                let p = strategy.num_ansatze();
-                let q = strategy.num_observables();
-                let observables = strategy.observables().to_vec();
-                let shots = match generator.backend() {
-                    FeatureBackend::Exact => None,
-                    FeatureBackend::Shots { shots, .. } => Some(shots),
-                    FeatureBackend::Shadows { snapshots, .. } => Some(snapshots),
-                };
-                let mut jobs = Vec::with_capacity(xs.len() * p);
-                for (i, x) in xs.iter().enumerate() {
-                    for a in 0..p {
-                        let mut job = CircuitJob::new(
-                            (i * p + a) as u64,
-                            generator.circuit_for(x, a),
-                            observables.clone(),
-                            shots,
-                        );
-                        job.sim_budget_ns = budget_ns;
-                        jobs.push(job);
-                    }
-                }
-                let total_jobs = jobs.len();
-                let (outcomes, report) = pool
+                let (rows, report) = pool
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .execute_batch(jobs);
-                let mut rows = vec![vec![0.0; p * q]; xs.len()];
-                let mut first_err: Option<JobError> = None;
-                let mut failed_jobs = 0usize;
-                for outcome in outcomes {
-                    match outcome {
-                        Ok(r) => {
-                            let i = r.id as usize / p;
-                            let a = r.id as usize % p;
-                            rows[i][a * q..(a + 1) * q].copy_from_slice(&r.values);
-                        }
-                        Err(e) => {
-                            failed_jobs += 1;
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                }
-                match first_err {
-                    None => Ok(ComputedRows {
-                        rows,
-                        faults: report.faults,
-                    }),
-                    Some(first) => Err(EngineError {
-                        failed_jobs,
-                        total_jobs,
-                        first,
-                        faults: report.faults,
-                    }),
-                }
+                    .feature_rows(generator, xs, budget_ns);
+                Ok(ComputedRows {
+                    rows: rows?,
+                    faults: report.faults,
+                })
             }
         }
     }
@@ -175,7 +92,7 @@ impl FeatureEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvqnn::Strategy;
+    use pvqnn::{FeatureBackend, Strategy};
 
     fn points(n: usize) -> Vec<Vec<f64>> {
         (0..n)
@@ -219,6 +136,8 @@ mod tests {
 
     #[test]
     fn pool_engine_is_deterministic_for_shots_backend() {
+        // The same miss batch on a fresh pool reproduces its rows; the
+        // same point at another batch position would draw other noise.
         let generator = FeatureGenerator::new(
             Strategy::observable_construction(4, 1),
             FeatureBackend::Shots { shots: 64, seed: 3 },

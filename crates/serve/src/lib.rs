@@ -35,7 +35,7 @@
 //! dealt weighted round-robin across per-tenant EDF sub-queues, so one
 //! flooding tenant cannot starve the rest. [`loadgen`] drives all of it
 //! with deterministic traffic: open-loop [`ArrivalTrace`] replay
-//! (JSONL/CSV files or synthetic Zipf-skewed burst / diurnal /
+//! (JSONL files or synthetic Zipf-skewed burst / diurnal /
 //! flash-crowd [`RateProfile`]s) with windowed [`Monitor`] time series.
 //!
 //! ```
@@ -78,7 +78,7 @@ pub mod stats;
 pub use admission::{AdmissionController, BrownoutLevel, Rejected, TenantId};
 pub use cache::{quantize_key, CacheStats, FeatureCache};
 pub use clock::SimClock;
-pub use engine::{ComputedRows, EngineError, FeatureEngine};
+pub use engine::{ComputedRows, FeatureEngine};
 pub use loadgen::{
     demo_catalogue, replay_trace, synthesize_trace, ArrivalTrace, RateProfile, ReplayReport,
     TenantLoad, TraceEvent, TraceParseError,

@@ -5,7 +5,7 @@
 //! makes a feature cache pay — and (b) *reproducible* — the isolation
 //! and recovery checks compare replays, so the stream must be a pure
 //! function of its seed. Overload is an *open-loop* phenomenon, so this
-//! module replays an [`ArrivalTrace`] (loaded from JSONL/CSV or
+//! module replays an [`ArrivalTrace`] (loaded from JSONL or
 //! synthesized from [`RateProfile`]s — constant, burst, diurnal,
 //! flash-crowd — with Zipf-skewed draws from a fixed catalogue of data
 //! points) against a [`Server`] on [`SimClock`] time: arrivals happen at
@@ -119,7 +119,7 @@ impl std::error::Error for TraceParseError {}
 /// | `at_us`       | arrival time, simulated µs from replay start        |
 /// | `tenant`      | [`TenantId`] the request is attributed to           |
 /// | `point`       | index into the replay's data-point catalogue        |
-/// | `deadline_us` | optional deadline budget in simulated µs (omitted / empty = slack traffic, the first deferred in a deep brownout) |
+/// | `deadline_us` | optional deadline budget in simulated µs (omitted / `null` = slack traffic, the first deferred in a deep brownout) |
 ///
 /// JSONL (one object per line; blank lines and `#` comments skipped):
 ///
@@ -128,9 +128,8 @@ impl std::error::Error for TraceParseError {}
 /// {"at_us": 1600, "tenant": 2, "point": 3}
 /// ```
 ///
-/// CSV: header `at_us,tenant,point,deadline_us`, empty last field for
-/// no deadline. Both parsers are hand-rolled (the workspace carries no
-/// serialization crate) and reject rather than guess: unknown
+/// The parser is hand-rolled (the workspace carries no serialization
+/// crate) and rejects rather than guesses: unknown
 /// keys, missing fields, non-integer values, and times too large to
 /// express in u64 nanoseconds are [`TraceParseError`]s with line
 /// numbers, so every parsed trace round-trips through
@@ -181,34 +180,6 @@ impl ArrivalTrace {
                 continue;
             }
             events.push(parse_jsonl_event(line, i + 1)?);
-        }
-        Ok(Self::from_events(events))
-    }
-
-    /// Parses a CSV trace (see the type docs for the format). Blank
-    /// lines and `#` comment lines are skipped.
-    pub fn from_csv(text: &str) -> Result<Self, TraceParseError> {
-        let mut events = Vec::new();
-        let mut saw_header = false;
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if !saw_header {
-                let header: Vec<&str> = line.split(',').map(str::trim).collect();
-                if header != ["at_us", "tenant", "point", "deadline_us"] {
-                    return Err(TraceParseError {
-                        line: i + 1,
-                        msg: format!(
-                            "expected header at_us,tenant,point,deadline_us, got {line:?}"
-                        ),
-                    });
-                }
-                saw_header = true;
-                continue;
-            }
-            events.push(parse_csv_event(line, i + 1)?);
         }
         Ok(Self::from_events(events))
     }
@@ -280,35 +251,6 @@ fn parse_jsonl_event(line: &str, lineno: usize) -> Result<TraceEvent, TraceParse
             }
         }
     }
-    build_event(at_us, tenant, point, deadline_us, lineno)
-}
-
-fn parse_csv_event(line: &str, lineno: usize) -> Result<TraceEvent, TraceParseError> {
-    let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-    if fields.len() != 4 {
-        return Err(TraceParseError {
-            line: lineno,
-            msg: format!("expected 4 fields, got {}", fields.len()),
-        });
-    }
-    let at_us = parse_u64(fields[0], lineno, "at_us")?;
-    let tenant = parse_u64(fields[1], lineno, "tenant")?;
-    let point = parse_u64(fields[2], lineno, "point")?;
-    let deadline_us = if fields[3].is_empty() {
-        None
-    } else {
-        Some(parse_u64(fields[3], lineno, "deadline_us")?)
-    };
-    build_event(Some(at_us), Some(tenant), Some(point), deadline_us, lineno)
-}
-
-fn build_event(
-    at_us: Option<u64>,
-    tenant: Option<u64>,
-    point: Option<u64>,
-    deadline_us: Option<u64>,
-    lineno: usize,
-) -> Result<TraceEvent, TraceParseError> {
     let missing = |what: &str| TraceParseError {
         line: lineno,
         msg: format!("missing required field {what}"),
@@ -714,22 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_parses_and_matches_jsonl() {
-        let csv = "\
-at_us,tenant,point,deadline_us
-1500,1,7,10000
-1600,2,3,
-";
-        let from_csv = ArrivalTrace::from_csv(csv).unwrap();
-        let jsonl = "\
-{\"at_us\": 1500, \"tenant\": 1, \"point\": 7, \"deadline_us\": 10000}
-{\"at_us\": 1600, \"tenant\": 2, \"point\": 3}
-";
-        let from_jsonl = ArrivalTrace::from_jsonl(jsonl).unwrap();
-        assert_eq!(from_csv.events(), from_jsonl.events());
-    }
-
-    #[test]
     fn malformed_lines_are_typed_errors_with_line_numbers() {
         let err = ArrivalTrace::from_jsonl("{\"at_us\": 5, \"tenant\": 0}").unwrap_err();
         assert_eq!(err.line, 1);
@@ -740,10 +666,6 @@ at_us,tenant,point,deadline_us
             ArrivalTrace::from_jsonl("{\"at_us\": 5, \"tenant\": 0, \"point\": 1, \"zz\": 3}")
                 .unwrap_err();
         assert!(err.msg.contains("unknown key"), "{}", err.msg);
-        let err = ArrivalTrace::from_csv("wrong,header,entirely,x\n1,2,3,4").unwrap_err();
-        assert!(err.msg.contains("header"), "{}", err.msg);
-        let err = ArrivalTrace::from_csv("at_us,tenant,point,deadline_us\n1,2\n").unwrap_err();
-        assert_eq!(err.line, 2);
         // µs times past u64::MAX / 1000 have no ns form: rejected, not saturated.
         let err = ArrivalTrace::from_jsonl(
             "# header\n{\"at_us\": 18446744073709552, \"tenant\": 0, \"point\": 0}",
@@ -751,8 +673,10 @@ at_us,tenant,point,deadline_us
         .unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.msg.contains("at_us"), "{}", err.msg);
-        let err = ArrivalTrace::from_csv("at_us,tenant,point,deadline_us\n1,0,0,18446744073709552")
-            .unwrap_err();
+        let err = ArrivalTrace::from_jsonl(
+            "{\"at_us\": 1, \"tenant\": 0, \"point\": 0, \"deadline_us\": 18446744073709552}",
+        )
+        .unwrap_err();
         assert!(err.msg.contains("deadline_us"), "{}", err.msg);
         let edge = "{\"at_us\": 18446744073709551, \"tenant\": 0, \"point\": 0}\n";
         assert_eq!(ArrivalTrace::from_jsonl(edge).unwrap().to_jsonl(), edge);

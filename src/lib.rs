@@ -27,7 +27,7 @@ pub use shadows;
 
 /// Convenience re-exports of the most common types across the workspace.
 pub mod prelude {
-    pub use hpcq::{HybridPipeline, QpuConfig, QpuDevice, QpuPool};
+    pub use hpcq::{QpuConfig, QpuDevice, QpuPool};
     pub use linalg::Mat;
     pub use ml::{accuracy, LogisticRegression, Mlp, SoftmaxRegression};
     pub use pauli::{local_paulis, Pauli, PauliString, PauliSum};

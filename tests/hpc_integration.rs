@@ -1,8 +1,8 @@
 //! Cross-crate integration: the HPC-QC runtime must produce exactly the
-//! same feature matrix as the in-process generator, and the pipeline must
-//! scale the work without changing the answer.
+//! same feature matrix as the in-process generator, and its rows must
+//! reach the classical stage complete and in order.
 
-use postvar::hpcq::{CircuitJob, QpuConfig, QpuPool};
+use postvar::ml::LogisticConfig;
 use postvar::prelude::*;
 
 fn toy_data(d: usize) -> Vec<Vec<f64>> {
@@ -15,26 +15,6 @@ fn toy_data(d: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Builds one job per (sample, shift) from a feature generator.
-fn jobs_for(generator: &FeatureGenerator, data: &[Vec<f64>]) -> Vec<CircuitJob> {
-    let p = generator.strategy().num_ansatze();
-    let obs = generator.strategy().observables().to_vec();
-    let mut out = Vec::new();
-    let mut id = 0u64;
-    for x in data {
-        for a in 0..p {
-            out.push(CircuitJob::new(
-                id,
-                generator.circuit_for(x, a),
-                obs.clone(),
-                None,
-            ));
-            id += 1;
-        }
-    }
-    out
-}
-
 #[test]
 fn pool_reproduces_in_process_features_exactly() {
     let data = toy_data(6);
@@ -44,44 +24,62 @@ fn pool_reproduces_in_process_features_exactly() {
     );
     let q_direct = generator.generate(&data);
 
-    let jobs = jobs_for(&generator, &data);
+    let xs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
     let mut pool = QpuPool::homogeneous(3, QpuConfig::default());
-    let (results, _) = pool.execute_batch(jobs);
+    let rows = pool
+        .feature_rows(&generator, &xs, None)
+        .0
+        .expect("healthy pool");
 
-    let p = generator.strategy().num_ansatze();
-    let q_obs = generator.strategy().num_observables();
-    for (i, _x) in data.iter().enumerate() {
-        for a in 0..p {
-            let job_values = &results[i * p + a].as_ref().expect("healthy pool").values;
-            for b in 0..q_obs {
-                let col = generator.strategy().column_of(a, b);
-                let direct = q_direct[(i, col)];
-                assert!(
-                    (direct - job_values[b]).abs() < 1e-12,
-                    "mismatch at sample {i}, shift {a}, obs {b}"
-                );
-            }
+    assert_eq!(rows.len(), data.len());
+    for (i, row) in rows.iter().enumerate() {
+        assert_eq!(row.len(), q_direct.cols());
+        for (col, v) in row.iter().enumerate() {
+            assert!(
+                (q_direct[(i, col)] - v).abs() < 1e-12,
+                "mismatch at sample {i}, column {col}"
+            );
         }
     }
 }
 
 #[test]
 fn pipeline_feeds_classical_stage_with_complete_ordered_batch() {
-    use postvar::hpcq::HybridPipeline;
+    // 256-shot rows: each one lies nearest to its own point's exact row,
+    // and the head fits on the whole batch.
     let data = toy_data(5);
+    let strategy = Strategy::observable_construction(4, 1);
+    let exact = FeatureGenerator::new(strategy.clone(), FeatureBackend::Exact).generate(&data);
     let generator = FeatureGenerator::new(
-        Strategy::observable_construction(4, 1),
-        FeatureBackend::Exact,
+        strategy,
+        FeatureBackend::Shots {
+            shots: 256,
+            seed: 0,
+        },
     );
-    let jobs = jobs_for(&generator, &data);
-    let n_jobs = jobs.len();
-    let pool = QpuPool::homogeneous(2, QpuConfig::default());
-    let mut pipeline = HybridPipeline::new(pool);
-    let (ok, report) = pipeline
-        .run(jobs, |results| {
-            results.len() == n_jobs && results.windows(2).all(|w| w[0].id < w[1].id)
-        })
-        .expect("healthy pool completes every job");
-    assert!(ok, "classical stage saw incomplete or unordered results");
-    assert!(report.total_secs() > 0.0);
+    let xs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+    let mut pool = QpuPool::homogeneous(2, QpuConfig::default());
+    let (rows, report) = pool.feature_rows(&generator, &xs, None);
+    let rows = rows.expect("healthy pool completes every job");
+    assert!(report.wall_secs > 0.0);
+    assert_eq!(report.jobs_per_device.iter().sum::<usize>(), data.len());
+
+    let dist = |row: &[f64], j: usize| -> f64 {
+        row.iter()
+            .zip(exact.row(j))
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum()
+    };
+    for (i, row) in rows.iter().enumerate() {
+        assert_eq!(row.len(), exact.cols());
+        let nearest = (0..data.len())
+            .min_by(|&a, &b| dist(row, a).total_cmp(&dist(row, b)))
+            .unwrap();
+        assert_eq!(nearest, i, "row {i} is out of order");
+    }
+
+    let labels = [0.0, 1.0, 0.0, 1.0, 0.0];
+    let mat = Mat::from_rows(&rows);
+    let head = LogisticRegression::fit(&mat, &labels, LogisticConfig::default());
+    assert!(head.predict_proba(&mat).iter().all(|p| p.is_finite()));
 }
